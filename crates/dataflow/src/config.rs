@@ -50,9 +50,9 @@ impl TileBytes {
 
 /// Compute the nominal byte footprint of a tile of `shape`.
 pub fn tile_bytes(shape: &ConvShape, tile: &Tile) -> TileBytes {
-    let hs = DimSpec::window(shape.h_out(), shape.stride, shape.r, shape.pad, shape.h);
-    let ws = DimSpec::window(shape.w_out(), shape.stride, shape.s, shape.pad, shape.w);
-    let fs = DimSpec::window(shape.f_out(), shape.stride_f, shape.t, shape.pad_f, shape.f);
+    let hs = DimSpec::of(shape, Dim::H);
+    let ws = DimSpec::of(shape, Dim::W);
+    let fs = DimSpec::of(shape, Dim::F);
     let input = hs.nominal_in_extent(tile.h)
         * ws.nominal_in_extent(tile.w)
         * fs.nominal_in_extent(tile.f)

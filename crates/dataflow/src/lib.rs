@@ -47,7 +47,11 @@ pub mod traffic;
 pub mod prelude {
     pub use crate::arch::{ArchSpec, OnChipLevel};
     pub use crate::config::{tile_bytes, LevelConfig, TileBytes, TilingConfig};
-    pub use crate::perf::{compute_cycles, layer_cycles, CycleReport, Parallelism};
+    pub use crate::perf::{
+        best_parallelism, compute_cycles, layer_cycles, CycleReport, Parallelism,
+    };
     pub use crate::pieces::{DimPieces, DimSpec, Piece};
-    pub use crate::traffic::{apply_multicast, layer_traffic, BoundaryTraffic, LayerTraffic};
+    pub use crate::traffic::{
+        apply_multicast, boundary_traffic, layer_traffic, BoundaryTraffic, LayerTraffic,
+    };
 }

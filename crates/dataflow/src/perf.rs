@@ -11,10 +11,11 @@
 
 use crate::arch::ArchSpec;
 use crate::config::TilingConfig;
-use crate::pieces::DimPieces;
+use crate::pieces::DimSpec;
 use crate::traffic::LayerTraffic;
 use morph_tensor::order::Dim;
 use morph_tensor::shape::ConvShape;
+use morph_tensor::tiled::Tile;
 
 /// Degrees of spatial PE parallelism (per-dimension PE counts).
 ///
@@ -156,6 +157,85 @@ impl morph_json::FromJson for CycleReport {
     }
 }
 
+/// One dimension of the tile grid [`compute_cycles`] reads: the resident
+/// L2 pieces (`full` pieces of `tile` outputs plus one `rem`-output
+/// remainder piece when `rem > 0`) and the PE-level tile `t0`.
+#[derive(Debug, Clone, Copy)]
+struct DimGrid {
+    full: u64,
+    tile: usize,
+    rem: usize,
+    t0: usize,
+}
+
+impl DimGrid {
+    fn new(extent: usize, l2: usize, t0: usize) -> Self {
+        let tile = l2.min(extent).max(1);
+        Self {
+            full: (extent / tile) as u64,
+            tile,
+            rem: extent % tile,
+            t0,
+        }
+    }
+
+    /// Serial PE rounds at parallel degree `deg`: each L2 piece deals its
+    /// PE-level tiles to `deg` PEs, so the rounds are
+    /// `q·⌈⌈t/t0⌉/P⌉ + [r>0]·⌈⌈r/t0⌉/P⌉` with `q` full pieces of `t` and a
+    /// remainder piece of `r`.
+    fn rounds(&self, deg: u64) -> u64 {
+        let per_piece = |size: usize| (size.div_ceil(self.t0) as u64).div_ceil(deg);
+        let mut rounds = self.full * per_piece(self.tile);
+        if self.rem > 0 {
+            rounds += per_piece(self.rem);
+        }
+        rounds.max(1)
+    }
+}
+
+/// Index of the PE-distributed level: the one feeding the PEs' operand
+/// registers, i.e. the second-deepest configured level (for Morph's
+/// `[L2, L1, L0, REG]` that is the per-PE L0).
+fn pe_level(cfg: &TilingConfig) -> usize {
+    cfg.levels.len().saturating_sub(2)
+}
+
+/// The tiles [`compute_cycles`] reads of a configuration: the L2 tile and
+/// the PE-level tile. Configurations of equal depth with equal grids take
+/// equal compute cycles under every parallelism, so a search needs one
+/// [`best_parallelism`] per distinct grid.
+pub fn tile_grid(cfg: &TilingConfig) -> (Tile, Tile) {
+    (cfg.levels[0].tile, cfg.levels[pe_level(cfg)].tile)
+}
+
+/// The parallelism-independent part of [`compute_cycles`]: each
+/// dimension's grid (in [`Dim::ALL`] order) and the work one PE does per
+/// serial round.
+fn grid_and_work(shape: &ConvShape, cfg: &TilingConfig, arch: &ArchSpec) -> ([DimGrid; 5], u64) {
+    let pe_idx = pe_level(cfg);
+    let vw = arch.vector_width;
+    let mut work_per_round: u64 = (shape.r * shape.s * shape.t) as u64;
+    let grids = Dim::ALL.map(|d| {
+        let extent = DimSpec::of(shape, d).out_extent;
+        let t0 = cfg.levels[pe_idx].tile.extent(d).min(extent).max(1);
+        // Work per round along this dimension (K runs on Vw lanes).
+        let w = match d {
+            Dim::K => t0.div_ceil(vw) as u64,
+            _ => t0 as u64,
+        };
+        work_per_round *= w.max(1);
+        // With a single level above the registers the PEs share the
+        // whole extent; otherwise they work one resident L2 piece at a time.
+        let l2 = if pe_idx == 0 {
+            extent
+        } else {
+            cfg.levels[0].tile.extent(d)
+        };
+        DimGrid::new(extent, l2, t0)
+    });
+    (grids, work_per_round)
+}
+
 /// Compute-only cycle count (no memory-bus terms): the serial PE rounds
 /// implied by the tile grid and the parallel mapping.
 pub fn compute_cycles(
@@ -169,50 +249,57 @@ pub fn compute_cycles(
         "parallelism {par:?} exceeds {} PEs",
         arch.total_pes()
     );
-    // The PE-distributed level is the one feeding the PEs' operand
-    // registers: the second-deepest configured level (for Morph's
-    // [L2, L1, L0, REG] that is the per-PE L0).
-    let pe_idx = cfg.levels.len().saturating_sub(2);
-    let vw = arch.vector_width;
-
     // Per dimension: the PE-level tiles within each resident L2 tile are
     // distributed over P_d PEs; Σ over L2 pieces of ceil(children/P_d)
     // serial rounds, times the per-round work extent of one PE-level tile.
-    let mut rounds: u64 = 1;
-    let mut work_per_round: u64 = (shape.r * shape.s * shape.t) as u64;
-    for d in Dim::ALL {
-        let extent = match d {
-            Dim::W => shape.w_out(),
-            Dim::H => shape.h_out(),
-            Dim::C => shape.c,
-            Dim::K => shape.k,
-            Dim::F => shape.f_out(),
-        };
-        let tiles: Vec<usize> = cfg.levels[..=pe_idx]
-            .iter()
-            .map(|l| l.tile.extent(d))
-            .collect();
-        let t0 = (*tiles.last().unwrap()).min(extent).max(1);
-        let deg = par.degree(d) as u64;
-        let serial: u64 = if pe_idx == 0 {
-            (extent.div_ceil(t0) as u64).div_ceil(deg)
-        } else {
-            let parents = DimPieces::build(extent, &tiles[..1]);
-            parents
-                .pieces
-                .iter()
-                .map(|p| (p.size.div_ceil(t0) as u64).div_ceil(deg))
-                .sum()
-        };
-        rounds *= serial.max(1);
-        // Work per round along this dimension (K runs on Vw lanes).
-        let w = match d {
-            Dim::K => t0.div_ceil(vw) as u64,
-            _ => t0 as u64,
-        };
-        work_per_round *= w.max(1);
-    }
+    let (grids, work_per_round) = grid_and_work(shape, cfg, arch);
+    let rounds: u64 = Dim::ALL
+        .iter()
+        .zip(&grids)
+        .map(|(&d, g)| g.rounds(par.degree(d) as u64))
+        .product();
     rounds * work_per_round
+}
+
+/// The candidate with the fewest [`compute_cycles`] under `cfg`, and that
+/// count; on ties the first such candidate, like `Iterator::min_by_key`.
+/// `None` only when `pars` is empty.
+///
+/// Each dimension's serial rounds are tabulated once per degree the
+/// candidates use, so scoring a candidate is one lookup per dimension.
+pub fn best_parallelism(
+    shape: &ConvShape,
+    cfg: &TilingConfig,
+    pars: &[Parallelism],
+    arch: &ArchSpec,
+) -> Option<(Parallelism, u64)> {
+    let (grids, work_per_round) = grid_and_work(shape, cfg, arch);
+    // rounds[deg][dim], filled on first use: a round count is never 0, so
+    // 0 marks an empty slot. Fitting candidates keep every degree within
+    // the chip's PE count.
+    let mut table = vec![[0u64; 5]; arch.total_pes() + 1];
+    let mut best: Option<(Parallelism, u64)> = None;
+    for par in pars {
+        assert!(
+            par.fits(arch),
+            "parallelism {par:?} exceeds {} PEs",
+            arch.total_pes()
+        );
+        let mut rounds = 1u64;
+        for (i, (&d, g)) in Dim::ALL.iter().zip(&grids).enumerate() {
+            let deg = par.degree(d);
+            let slot = &mut table[deg][i];
+            if *slot == 0 {
+                *slot = g.rounds(deg as u64);
+            }
+            rounds *= *slot;
+        }
+        let cycles = rounds * work_per_round;
+        if best.is_none_or(|(_, c)| cycles < c) {
+            best = Some((*par, cycles));
+        }
+    }
+    best
 }
 
 /// Compute the cycle breakdown of a layer under a config + parallelism.

@@ -20,7 +20,7 @@
 
 use crate::config::TilingConfig;
 use crate::pieces::{DimPieces, DimSpec};
-use morph_tensor::order::Dim;
+use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::{ConvShape, ACT_BYTES, WGT_BYTES};
 
 /// Bytes crossing one boundary, by data type and direction.
@@ -81,21 +81,16 @@ impl LayerTraffic {
     }
 }
 
-/// One loop of the concatenated nest: `(level, dim, nest position)`.
+/// One loop of the concatenated nest: `(level, dim)`.
 #[derive(Debug, Clone, Copy)]
 struct NestLoop {
     level: usize,
     dim: Dim,
 }
 
-/// Per-dimension geometry + nested pieces for one layer/config pair.
-struct DimState {
-    spec: DimSpec,
-    pieces_per_boundary: Vec<DimPieces>,
-}
-
+/// Position of a dimension in [`Dim::ALL`] (its declaration order).
 fn dim_index(d: Dim) -> usize {
-    Dim::ALL.iter().position(|&x| x == d).unwrap()
+    d as usize
 }
 
 fn relevant(d: Dim, ty: DataType) -> bool {
@@ -106,11 +101,124 @@ fn relevant(d: Dim, ty: DataType) -> bool {
     }
 }
 
+/// True for the dimensions whose input fetches can slide (§II-E): the
+/// input-relevant windows `W`, `H`, `F` (`C` has no halo to reuse).
+fn slides(d: Dim) -> bool {
+    d.input_relevant() && d != Dim::C
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DataType {
     Input,
     Weight,
     Psum,
+}
+
+/// What the nest logic reads of one dimension's pieces at one boundary:
+/// piece counts per level and input-extent sums.
+trait DimView {
+    /// Piece count after nesting levels `0..=level`.
+    fn count_at(&self, level: usize) -> usize;
+    /// Σ clipped input extents over the final pieces; with slide reuse
+    /// within runs of the loop at `slide` when given.
+    fn input_sum(&self, slide: Option<usize>) -> u64;
+}
+
+/// The exact per-dimension arithmetic, evaluated on demand.
+struct Exact {
+    spec: DimSpec,
+    pieces: DimPieces,
+}
+
+impl DimView for Exact {
+    fn count_at(&self, level: usize) -> usize {
+        self.pieces.count_at(level)
+    }
+
+    fn input_sum(&self, slide: Option<usize>) -> u64 {
+        match slide {
+            Some(level) => self.pieces.input_sum_slide(&self.spec, level),
+            None => self.pieces.input_sum_full(&self.spec),
+        }
+    }
+}
+
+/// Most tiling levels a [`DimSummary`] records (a full Morph hierarchy:
+/// `[L2, L1, L0, REG]`).
+pub const SUMMARY_LEVELS: usize = 4;
+
+/// Fixed-size digest of one dimension's tile chain: everything the
+/// traffic engine reads of its [`DimPieces`] at the chain's deepest
+/// boundary. Candidates that share a dimension's chain share its summary,
+/// so the piece lists are walked once per chain instead of once per
+/// candidate; [`summary_traffic`] scores a boundary from five of them.
+#[derive(Debug, Clone, Copy)]
+pub struct DimSummary {
+    levels: usize,
+    counts: [usize; SUMMARY_LEVELS],
+    full: u64,
+    slide: [u64; SUMMARY_LEVELS],
+}
+
+impl DimSummary {
+    /// Summarize dimension `d` sliced by `tiles` (outermost first, as in
+    /// [`DimPieces::build`]). Input sums are taken only where the traffic
+    /// engine reads them: the full sum for input-relevant dimensions, the
+    /// slide sums for the sliding windows `W`, `H`, `F`; the rest read 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tiles` is empty or longer than [`SUMMARY_LEVELS`], or on
+    /// the inputs [`DimPieces::build`] rejects.
+    pub fn new(d: Dim, spec: &DimSpec, tiles: &[usize]) -> Self {
+        let levels = tiles.len();
+        assert!(
+            (1..=SUMMARY_LEVELS).contains(&levels),
+            "a summary covers 1..={SUMMARY_LEVELS} levels, not {levels}"
+        );
+        let pieces = DimPieces::build(spec.out_extent, tiles);
+        let mut out = Self {
+            levels,
+            counts: [0; SUMMARY_LEVELS],
+            full: 0,
+            slide: [0; SUMMARY_LEVELS],
+        };
+        out.counts[..levels].copy_from_slice(&pieces.counts);
+        if d.input_relevant() {
+            out.full = pieces.input_sum_full(spec);
+        }
+        if slides(d) {
+            for (level, sum) in out.slide[..levels].iter_mut().enumerate() {
+                *sum = pieces.input_sum_slide(spec, level);
+            }
+        }
+        out
+    }
+
+    /// Piece count after nesting levels `0..=level` ([`DimPieces::count_at`]).
+    pub fn count_at(&self, level: usize) -> usize {
+        self.counts[..self.levels][level]
+    }
+
+    /// [`DimPieces::input_sum_full`] (0 for `K`).
+    pub fn input_sum_full(&self) -> u64 {
+        self.full
+    }
+
+    /// [`DimPieces::input_sum_slide`] at `run_level` (0 for `C` and `K`).
+    pub fn input_sum_slide(&self, run_level: usize) -> u64 {
+        self.slide[..self.levels][run_level]
+    }
+}
+
+impl DimView for DimSummary {
+    fn count_at(&self, level: usize) -> usize {
+        DimSummary::count_at(self, level)
+    }
+
+    fn input_sum(&self, slide: Option<usize>) -> u64 {
+        slide.map_or(self.full, |level| self.input_sum_slide(level))
+    }
 }
 
 /// Collapse broadcast-shareable transfers under spatial PE parallelism.
@@ -141,134 +249,133 @@ pub fn apply_multicast(traffic: &mut LayerTraffic, hp: usize, wp: usize, fp: usi
 /// [`TilingConfig::validate`]); call [`TilingConfig::normalize`] first for
 /// arbitrary candidates.
 pub fn layer_traffic(shape: &ConvShape, cfg: &TilingConfig) -> LayerTraffic {
-    let specs = [
-        DimSpec::window(shape.w_out(), shape.stride, shape.s, shape.pad, shape.w),
-        DimSpec::window(shape.h_out(), shape.stride, shape.r, shape.pad, shape.h),
-        DimSpec::channel(shape.c),
-        DimSpec::channel(shape.k),
-        DimSpec::window(shape.f_out(), shape.stride_f, shape.t, shape.pad_f, shape.f),
-    ];
-    let nlevels = cfg.levels.len();
-    // Per dim: nested pieces for each boundary depth.
-    let states: Vec<DimState> = Dim::ALL
-        .iter()
-        .enumerate()
-        .map(|(di, &d)| {
-            let tiles: Vec<usize> = cfg.levels.iter().map(|l| l.tile.extent(d)).collect();
-            let pieces_per_boundary = (0..nlevels)
-                .map(|b| DimPieces::build(specs[di].out_extent, &tiles[..=b]))
-                .collect();
-            DimState {
-                spec: specs[di],
-                pieces_per_boundary,
-            }
+    LayerTraffic {
+        boundaries: (0..cfg.levels.len())
+            .map(|b| boundary_traffic(shape, cfg, b))
+            .collect(),
+        maccs: shape.maccs(),
+        outputs: shape.output_elems(),
+    }
+}
+
+/// The traffic of one boundary of [`layer_traffic`]: into level `b` of
+/// `cfg` (`b == 0` is DRAM→L2). Only levels `0..=b` are read.
+pub fn boundary_traffic(shape: &ConvShape, cfg: &TilingConfig, b: usize) -> BoundaryTraffic {
+    let levels = &cfg.levels[..=b];
+    let mut tiles = Vec::with_capacity(levels.len());
+    let dims = Dim::ALL.map(|d| {
+        let spec = DimSpec::of(shape, d);
+        tiles.clear();
+        tiles.extend(levels.iter().map(|l| l.tile.extent(d)));
+        Exact {
+            pieces: DimPieces::build(spec.out_extent, &tiles),
+            spec,
+        }
+    });
+    let orders: Vec<LoopOrder> = levels.iter().map(|l| l.order).collect();
+    nest_traffic(shape, &orders, &dims)
+}
+
+/// [`boundary_traffic`] from per-dimension summaries: the boundary into the
+/// deepest of `orders.len()` levels, each level's loops in its order, with
+/// `dims` in [`Dim::ALL`] order summarizing tile chains of that depth.
+pub fn summary_traffic(
+    shape: &ConvShape,
+    orders: &[LoopOrder],
+    dims: &[DimSummary; 5],
+) -> BoundaryTraffic {
+    nest_traffic(shape, orders, dims)
+}
+
+/// The transfer rules on the concatenated nest of `orders.len()` levels
+/// (each level's five loops in its order, outermost level first), reading
+/// each dimension's pieces at that depth through `dims`.
+fn nest_traffic<V: DimView>(
+    shape: &ConvShape,
+    orders: &[LoopOrder],
+    dims: &[V; 5],
+) -> BoundaryTraffic {
+    let nest_len = 5 * orders.len();
+    let nest = |i: usize| NestLoop {
+        level: i / 5,
+        dim: orders[i / 5].dims()[i % 5],
+    };
+    let count_at = |d: Dim, lvl: usize| dims[dim_index(d)].count_at(lvl);
+    let multi_trip = |nl: NestLoop| {
+        let prev = if nl.level == 0 {
+            1
+        } else {
+            count_at(nl.dim, nl.level - 1)
+        };
+        count_at(nl.dim, nl.level) > prev
+    };
+
+    // Innermost relevant loop with >1 trips, per data type.
+    let find_p = |ty: DataType| {
+        (0..nest_len).rev().find(|&i| {
+            let nl = nest(i);
+            relevant(nl.dim, ty) && multi_trip(nl)
         })
-        .collect();
+    };
+    // Refetch multiplier: product over irrelevant dims of the piece
+    // count at their deepest loop outside position p.
+    let refetch = |ty: DataType, p: Option<usize>| -> u64 {
+        let limit = p.unwrap_or(0);
+        let mut mult = 1u64;
+        for d in Dim::ALL {
+            if relevant(d, ty) {
+                continue;
+            }
+            let deepest = (0..limit)
+                .map(nest)
+                .filter(|nl| nl.dim == d)
+                .map(|nl| nl.level)
+                .max();
+            if let Some(lvl) = deepest {
+                mult *= count_at(d, lvl) as u64;
+            }
+        }
+        mult
+    };
 
     let outputs = shape.output_elems();
     let psum_bytes = shape.psum_bytes();
 
-    let boundaries = (0..nlevels)
-        .map(|b| {
-            // Concatenated nest for boundary b: levels 0..=b, each level's
-            // five loops in its configured order.
-            let nest: Vec<NestLoop> = (0..=b)
-                .flat_map(|lvl| {
-                    cfg.levels[lvl]
-                        .order
-                        .dims()
-                        .into_iter()
-                        .map(move |dim| NestLoop { level: lvl, dim })
-                })
-                .collect();
-
-            let count_at =
-                |d: Dim, lvl: usize| states[dim_index(d)].pieces_per_boundary[b].count_at(lvl);
-            let multi_trip = |nl: &NestLoop| {
-                let prev = if nl.level == 0 {
-                    1
-                } else {
-                    count_at(nl.dim, nl.level - 1)
-                };
-                count_at(nl.dim, nl.level) > prev
+    // ---- Inputs ----
+    let p_in = find_p(DataType::Input);
+    let slide = p_in.map(nest);
+    let input_down = {
+        let mult = refetch(DataType::Input, p_in);
+        let mut bytes = mult * ACT_BYTES;
+        for d in [Dim::W, Dim::H, Dim::F, Dim::C] {
+            let run_level = match slide {
+                Some(nl) if nl.dim == d && slides(d) => Some(nl.level),
+                _ => None,
             };
+            bytes *= dims[dim_index(d)].input_sum(run_level);
+        }
+        bytes
+    };
 
-            // Innermost relevant loop with >1 trips, per data type.
-            let find_p = |ty: DataType| {
-                nest.iter()
-                    .enumerate()
-                    .rev()
-                    .find(|(_, nl)| relevant(nl.dim, ty) && multi_trip(nl))
-                    .map(|(i, _)| i)
-            };
-            // Refetch multiplier: product over irrelevant dims of the piece
-            // count at their deepest loop outside position p.
-            let refetch = |ty: DataType, p: Option<usize>| -> u64 {
-                let limit = p.unwrap_or(0);
-                let mut mult = 1u64;
-                for d in Dim::ALL {
-                    if relevant(d, ty) {
-                        continue;
-                    }
-                    let deepest = nest[..limit]
-                        .iter()
-                        .filter(|nl| nl.dim == d)
-                        .map(|nl| nl.level)
-                        .max();
-                    if let Some(lvl) = deepest {
-                        mult *= count_at(d, lvl) as u64;
-                    }
-                }
-                mult
-            };
+    // ---- Weights ----
+    let p_w = find_p(DataType::Weight);
+    let weight_down = refetch(DataType::Weight, p_w)
+        * (shape.k * shape.c * shape.r * shape.s * shape.t) as u64
+        * WGT_BYTES;
 
-            // ---- Inputs ----
-            let p_in = find_p(DataType::Input);
-            let slide = p_in.map(|i| nest[i]);
-            let input_down = {
-                let mult = refetch(DataType::Input, p_in);
-                let mut bytes = mult * ACT_BYTES;
-                for d in [Dim::W, Dim::H, Dim::F, Dim::C] {
-                    let st = &states[dim_index(d)];
-                    let pieces = &st.pieces_per_boundary[b];
-                    let sum = match slide {
-                        Some(nl) if nl.dim == d && d != Dim::C => {
-                            pieces.input_sum_slide(&st.spec, nl.level)
-                        }
-                        _ => pieces.input_sum_full(&st.spec),
-                    };
-                    bytes *= sum;
-                }
-                bytes
-            };
+    // ---- Psums ----
+    let p_ps = find_p(DataType::Psum);
+    let rho = refetch(DataType::Psum, p_ps);
+    let psum_down = (rho - 1) * outputs * psum_bytes;
+    let psum_up = (rho - 1) * outputs * psum_bytes;
+    let output_up = outputs * ACT_BYTES;
 
-            // ---- Weights ----
-            let p_w = find_p(DataType::Weight);
-            let weight_down = refetch(DataType::Weight, p_w)
-                * (shape.k * shape.c * shape.r * shape.s * shape.t) as u64
-                * WGT_BYTES;
-
-            // ---- Psums ----
-            let p_ps = find_p(DataType::Psum);
-            let rho = refetch(DataType::Psum, p_ps);
-            let psum_down = (rho - 1) * outputs * psum_bytes;
-            let psum_up = (rho - 1) * outputs * psum_bytes;
-            let output_up = outputs * ACT_BYTES;
-
-            BoundaryTraffic {
-                input_down,
-                weight_down,
-                psum_down,
-                psum_up,
-                output_up,
-            }
-        })
-        .collect();
-
-    LayerTraffic {
-        boundaries,
-        maccs: shape.maccs(),
-        outputs,
+    BoundaryTraffic {
+        input_down,
+        weight_down,
+        psum_down,
+        psum_up,
+        output_up,
     }
 }
 

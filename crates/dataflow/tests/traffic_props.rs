@@ -2,6 +2,7 @@
 //! pseudo-random shapes and configurations.
 
 use morph_dataflow::prelude::*;
+use morph_dataflow::traffic::{summary_traffic, DimSummary, SUMMARY_LEVELS};
 use morph_tensor::prelude::*;
 use morph_tensor::rng::XorShift as Rng;
 
@@ -197,5 +198,202 @@ fn fit_is_monotone() {
         )
         .normalize(&shape);
         assert!(cfg.fits(&shape, &arch).is_ok(), "minimal tiles always fit");
+    }
+}
+
+/// Tile extents for the kernel oracles: mostly within the extent (with
+/// remainders), sometimes larger than it.
+fn arb_extent(rng: &mut Rng, extent: usize) -> usize {
+    rng.range(1, 2 * extent + 2)
+}
+
+/// Unnormalized configurations of 1 to 4 levels whose tiles may exceed
+/// the layer and their parents, beside the normalized `arb_config` ones.
+fn arb_raw_config(rng: &mut Rng, shape: &ConvShape) -> TilingConfig {
+    let whole = Tile::whole(shape);
+    let orders = LoopOrder::all();
+    let levels = (0..rng.range(1, 5))
+        .map(|_| LevelConfig {
+            order: orders[rng.range(0, orders.len())],
+            tile: Tile {
+                h: arb_extent(rng, whole.h),
+                w: arb_extent(rng, whole.w),
+                f: arb_extent(rng, whole.f),
+                c: arb_extent(rng, whole.c),
+                k: arb_extent(rng, whole.k),
+            },
+        })
+        .collect();
+    TilingConfig { levels }
+}
+
+fn arb_any_config(rng: &mut Rng, shape: &ConvShape) -> TilingConfig {
+    if rng.range(0, 2) == 0 {
+        arb_config(rng, shape)
+    } else {
+        arb_raw_config(rng, shape)
+    }
+}
+
+/// A Morph chip with 1 to 6 clusters.
+fn arb_arch(rng: &mut Rng) -> ArchSpec {
+    ArchSpec {
+        clusters: rng.range(1, 7),
+        ..ArchSpec::morph()
+    }
+}
+
+/// The §V-A parallelism candidates of a chip: every `Hp·Wp·Kp·Fp` product
+/// over the candidate degrees that fits its PEs.
+fn parallelism_set(arch: &ArchSpec) -> Vec<Parallelism> {
+    let degrees = [1usize, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 96];
+    let mut out = Vec::new();
+    for &hp in &degrees {
+        for &wp in &degrees {
+            for &kp in &degrees {
+                for fp in [1usize, 2, 4, 8, 16] {
+                    let p = Parallelism { hp, wp, kp, fp };
+                    if p.fits(arch) {
+                        out.push(p);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Slow reference for `compute_cycles`: per dimension, the PE-level tiles
+/// of every L2 piece (from the exact piece list) dealt to the PEs.
+fn compute_cycles_ref(
+    shape: &ConvShape,
+    cfg: &TilingConfig,
+    par: &Parallelism,
+    arch: &ArchSpec,
+) -> u64 {
+    let pe_idx = cfg.levels.len().saturating_sub(2);
+    let mut rounds = 1u64;
+    let mut work = (shape.r * shape.s * shape.t) as u64;
+    for d in Dim::ALL {
+        let extent = DimSpec::of(shape, d).out_extent;
+        let t0 = cfg.levels[pe_idx].tile.extent(d).min(extent).max(1);
+        let deg = par.degree(d) as u64;
+        let l2 = if pe_idx == 0 {
+            extent
+        } else {
+            cfg.levels[0].tile.extent(d)
+        };
+        let serial: u64 = DimPieces::build(extent, &[l2])
+            .pieces
+            .iter()
+            .map(|p| (p.size.div_ceil(t0) as u64).div_ceil(deg))
+            .sum();
+        rounds *= serial.max(1);
+        work *= match d {
+            Dim::K => t0.div_ceil(arch.vector_width) as u64,
+            _ => t0 as u64,
+        }
+        .max(1);
+    }
+    rounds * work
+}
+
+/// The closed-form serial rounds equal the piece-list sum for every
+/// parallelism candidate, on normalized and raw configurations of every
+/// depth and on reduced chips.
+#[test]
+fn closed_form_compute_cycles_matches_piece_sum() {
+    let mut rng = Rng::new(0xC10F);
+    for _ in 0..96 {
+        let shape = arb_shape(&mut rng);
+        let cfg = arb_any_config(&mut rng, &shape);
+        let arch = arb_arch(&mut rng);
+        for par in parallelism_set(&arch) {
+            assert_eq!(
+                compute_cycles(&shape, &cfg, &par, &arch),
+                compute_cycles_ref(&shape, &cfg, &par, &arch),
+                "{shape:?} {cfg:?} {par:?}"
+            );
+        }
+    }
+}
+
+/// The tabulated argmin picks `min_by_key`'s candidate (the first of the
+/// fewest compute cycles) in forward and reversed candidate order.
+#[test]
+fn tabulated_argmin_matches_min_by_key() {
+    let mut rng = Rng::new(0xA4C1);
+    for _ in 0..96 {
+        let shape = arb_shape(&mut rng);
+        let cfg = arb_any_config(&mut rng, &shape);
+        let arch = arb_arch(&mut rng);
+        let mut pars = parallelism_set(&arch);
+        for _ in 0..2 {
+            let want = pars
+                .iter()
+                .map(|p| (*p, compute_cycles_ref(&shape, &cfg, p, &arch)))
+                .min_by_key(|&(_, c)| c);
+            assert_eq!(best_parallelism(&shape, &cfg, &pars, &arch), want);
+            pars.reverse();
+        }
+    }
+    let arch = ArchSpec::morph();
+    let shape = arb_shape(&mut rng);
+    let cfg = arb_config(&mut rng, &shape);
+    assert_eq!(best_parallelism(&shape, &cfg, &[], &arch), None);
+}
+
+/// A summary reads exactly what the piece list computes: counts at every
+/// level, and the input sums the traffic engine takes of its dimension.
+#[test]
+fn summaries_match_piece_lists() {
+    let mut rng = Rng::new(0x5E4A);
+    for _ in 0..128 {
+        let shape = arb_shape(&mut rng);
+        for d in Dim::ALL {
+            let spec = DimSpec::of(&shape, d);
+            let depth = rng.range(1, SUMMARY_LEVELS + 1);
+            let tiles: Vec<usize> = (0..depth)
+                .map(|_| arb_extent(&mut rng, spec.out_extent))
+                .collect();
+            let pieces = DimPieces::build(spec.out_extent, &tiles);
+            let summary = DimSummary::new(d, &spec, &tiles);
+            for level in 0..depth {
+                assert_eq!(summary.count_at(level), pieces.count_at(level));
+                let slide = if d == Dim::C || d == Dim::K {
+                    0
+                } else {
+                    pieces.input_sum_slide(&spec, level)
+                };
+                assert_eq!(summary.input_sum_slide(level), slide, "{d:?} {tiles:?}");
+            }
+            let full = if d == Dim::K {
+                0
+            } else {
+                pieces.input_sum_full(&spec)
+            };
+            assert_eq!(summary.input_sum_full(), full, "{d:?} {tiles:?}");
+        }
+    }
+}
+
+/// Every boundary scores the same through `layer_traffic`,
+/// `boundary_traffic` and five chain summaries.
+#[test]
+fn boundary_paths_agree() {
+    let mut rng = Rng::new(0xB0DA);
+    for _ in 0..128 {
+        let shape = arb_shape(&mut rng);
+        let cfg = arb_any_config(&mut rng, &shape);
+        let whole = layer_traffic(&shape, &cfg);
+        let orders: Vec<LoopOrder> = cfg.levels.iter().map(|l| l.order).collect();
+        for (b, want) in whole.boundaries.iter().enumerate() {
+            assert_eq!(boundary_traffic(&shape, &cfg, b), *want);
+            let dims = Dim::ALL.map(|d| {
+                let tiles: Vec<usize> = cfg.levels[..=b].iter().map(|l| l.tile.extent(d)).collect();
+                DimSummary::new(d, &DimSpec::of(&shape, d), &tiles)
+            });
+            assert_eq!(summary_traffic(&shape, &orders[..=b], &dims), *want);
+        }
     }
 }

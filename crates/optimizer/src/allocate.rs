@@ -10,8 +10,9 @@
 
 use morph_dataflow::arch::{ArchSpec, OnChipLevel};
 use morph_dataflow::config::{tile_bytes, LevelConfig, TilingConfig};
-use morph_dataflow::traffic::layer_traffic;
-use morph_tensor::order::LoopOrder;
+use morph_dataflow::pieces::DimSpec;
+use morph_dataflow::traffic::{boundary_traffic, summary_traffic, BoundaryTraffic, DimSummary};
+use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
 
@@ -67,8 +68,11 @@ pub fn f_reuse(shape: &ConvShape, levels: &[LevelConfig]) -> f64 {
     let cfg = TilingConfig {
         levels: levels.to_vec(),
     };
-    let t = layer_traffic(shape, &cfg);
-    let fill = t.boundaries.last().unwrap();
+    reuse_score(shape, &boundary_traffic(shape, &cfg, levels.len() - 1))
+}
+
+/// `f_reuse` of a level whose fill traffic is `fill`.
+fn reuse_score(shape: &ConvShape, fill: &BoundaryTraffic) -> f64 {
     shape.maccs() as f64 / fill.total().max(1) as f64
 }
 
@@ -107,6 +111,11 @@ fn corner_candidates(parent: &Tile) -> Vec<Tile> {
 /// configured so far. Returns `None` when not even the minimum tile fits
 /// (cannot happen for the evaluated architectures: the minimum tile is
 /// `R·S·Ct·T` input bytes plus one output column).
+///
+/// Every corner is scored by `f_reuse`. The corners are a product of at
+/// most three extents per dimension, so each dimension's tile chain
+/// (the upper levels' extents plus one corner extent) is summarized once
+/// and every corner's fill traffic is scored from five summaries.
 pub fn allocate_level(
     shape: &ConvShape,
     upper: &[LevelConfig],
@@ -116,14 +125,36 @@ pub fn allocate_level(
     policy: FitPolicy,
 ) -> Option<Tile> {
     let parent = upper.last().map_or_else(|| Tile::whole(shape), |l| l.tile);
+    let corners = corner_candidates(&parent);
+    let orders: Vec<LoopOrder> = upper.iter().map(|l| l.order).chain([order]).collect();
+    // Per dimension: (corner extent, summary of its chain), one entry per
+    // distinct extent.
+    let chains = Dim::ALL.map(|d| {
+        let spec = DimSpec::of(shape, d);
+        let mut out: Vec<(usize, DimSummary)> = Vec::new();
+        for cand in &corners {
+            let e = cand.extent(d);
+            if out.iter().all(|&(x, _)| x != e) {
+                let tiles: Vec<usize> = upper.iter().map(|l| l.tile.extent(d)).chain([e]).collect();
+                out.push((e, DimSummary::new(d, &spec, &tiles)));
+            }
+        }
+        out
+    });
+    let summary = |d: Dim, e: usize| {
+        chains[d as usize]
+            .iter()
+            .find(|&&(x, _)| x == e)
+            .map(|&(_, s)| s)
+            .expect("every corner extent has a chain summary")
+    };
     let mut best: Option<(f64, u64, Tile)> = None;
-    for cand in corner_candidates(&parent) {
+    for cand in corners {
         if !tile_fits(shape, &cand, level, arch, policy) {
             continue;
         }
-        let mut levels = upper.to_vec();
-        levels.push(LevelConfig { order, tile: cand });
-        let score = f_reuse(shape, &levels);
+        let dims = Dim::ALL.map(|d| summary(d, cand.extent(d)));
+        let score = reuse_score(shape, &summary_traffic(shape, &orders, &dims));
         let size = (cand.h * cand.w * cand.f * cand.c * cand.k) as u64;
         // Tie-break by larger tiles (fewer iterations, less control).
         let better = match &best {

@@ -27,8 +27,8 @@ use crate::space::{
 use crate::store::{DecisionStore, SearchStats, StoredDecision};
 use morph_dataflow::arch::OnChipLevel;
 use morph_dataflow::config::{LevelConfig, TilingConfig};
-use morph_dataflow::perf::{compute_cycles, layer_cycles, Parallelism};
-use morph_dataflow::traffic::layer_traffic;
+use morph_dataflow::perf::{best_parallelism, layer_cycles, tile_grid, Parallelism};
+use morph_dataflow::traffic::{boundary_traffic, layer_traffic};
 use morph_energy::{EnergyModel, EnergyReport};
 use morph_nets::Network;
 use morph_tensor::order::LoopOrder;
@@ -422,7 +422,7 @@ impl Optimizer {
                             tile: *l2,
                         }],
                     };
-                    let bytes = layer_traffic(shape, &cfg).boundaries[0].total();
+                    let bytes = boundary_traffic(shape, &cfg, 0).total();
                     let floor = roofline.max(bytes.div_ceil(dram_bus_bytes));
                     bound = bound.min(self.score_floor(objective, maccs, bytes, floor));
                     dram.push(bytes);
@@ -468,10 +468,20 @@ impl Optimizer {
 
         let mut best: Option<(f64, u64, LayerDecision)> = None;
         let mut incumbent = f64::INFINITY;
-        // Memoize allocations per (L2 tile, inner order): the sub-tile
-        // choice is driven by the inner order; the outer order is swapped
-        // in afterwards.
-        let mut alloc_memo: HashMap<(Tile, LoopOrder), Option<TilingConfig>> = HashMap::new();
+        // The best parallelism depends only on the tile grid, which many
+        // (L2 tile, inner order) rows share: score each grid once.
+        let mut grid_par: HashMap<(Tile, Tile), (Parallelism, u64)> = HashMap::new();
+        // Trace-only work counters: hierarchy allocations and tile grids
+        // scored for parallelism, the steps a row pays before its bound.
+        let mut allocated = 0u64;
+        let mut par_grids = 0u64;
+        let stream = |stats: &SearchStats, allocated: u64, par_grids: u64| {
+            let t = stats.bound_pruned + stats.costed;
+            rec.counter(&track, "bound_pruned", t, stats.bound_pruned);
+            rec.counter(&track, "costed", t, stats.costed);
+            rec.counter(&track, "allocated", t, allocated);
+            rec.counter(&track, "par_grids", t, par_grids);
+        };
 
         for (pos, &gi) in order.iter().enumerate() {
             let g = &groups[gi];
@@ -483,35 +493,33 @@ impl Optimizer {
                     .map(|&i| groups[i].outers.len() as u64 * n_inner)
                     .sum::<u64>();
                 if traced {
-                    let t = stats.bound_pruned + stats.costed;
-                    rec.counter(&track, "bound_pruned", t, stats.bound_pruned);
-                    rec.counter(&track, "costed", t, stats.costed);
+                    stream(&stats, allocated, par_grids);
                 }
                 break;
             }
             for (j, inner) in inner_cands.iter().enumerate() {
-                let base_cfg = alloc_memo
-                    .entry((g.l2, *inner))
-                    .or_insert_with(|| {
-                        allocate_hierarchy(
-                            shape,
-                            LoopOrder::base_outer(),
-                            *inner,
-                            g.l2,
-                            arch,
-                            self.policy,
-                        )
-                    })
-                    .clone();
-                let Some(base_cfg) = base_cfg else { continue };
+                // The sub-tile choice is driven by the inner order; the
+                // outer order is swapped in afterwards. Every (L2 tile,
+                // inner order) row is allocated exactly once per search.
+                allocated += 1;
+                let Some(base_cfg) = allocate_hierarchy(
+                    shape,
+                    LoopOrder::base_outer(),
+                    *inner,
+                    g.l2,
+                    arch,
+                    self.policy,
+                ) else {
+                    continue;
+                };
                 // Best parallelism = fewest compute cycles; it depends only
                 // on the tile grid, not the loop orders, so hoist it out of
                 // the outer-order loop.
-                let (par, compute) = pars
-                    .iter()
-                    .map(|p| (*p, compute_cycles(shape, &base_cfg, p, arch)))
-                    .min_by_key(|&(_, c)| c)
-                    .expect("at least one parallelism candidate");
+                let (par, compute) = *grid_par.entry(tile_grid(&base_cfg)).or_insert_with(|| {
+                    par_grids += 1;
+                    best_parallelism(shape, &base_cfg, &pars, arch)
+                        .expect("at least one parallelism candidate")
+                });
                 if prune {
                     // Allocation-aware row bound: the compute roofline of
                     // this (L2, inner) hierarchy holds for every outer
@@ -577,16 +585,13 @@ impl Optimizer {
             // Stream the prune/cost split once per visited tile group —
             // bounded by the group count, not the candidate count.
             if traced {
-                let t = stats.bound_pruned + stats.costed;
-                rec.counter(&track, "bound_pruned", t, stats.bound_pruned);
-                rec.counter(&track, "costed", t, stats.costed);
+                stream(&stats, allocated, par_grids);
             }
         }
         if traced {
             let t = stats.bound_pruned + stats.costed;
             rec.counter(&track, "enumerated", t, stats.enumerated);
-            rec.counter(&track, "bound_pruned", t, stats.bound_pruned);
-            rec.counter(&track, "costed", t, stats.costed);
+            stream(&stats, allocated, par_grids);
             rec.span_end(&track, "search", t);
         }
         let decision = best.expect("search space never empty").2;
@@ -724,7 +729,8 @@ mod tests {
 
     /// The streaming trace counters close exactly on the returned
     /// [`SearchStats`]: the final `enumerated` / `bound_pruned` / `costed`
-    /// samples on the search track equal the stored stats, the span is
+    /// samples on the search track equal the stored stats, the `allocated`
+    /// and `par_grids` work counters are monotone and nonzero, the span is
     /// balanced over `[0, visited]`, and attaching a recorder changes
     /// nothing about the selected decision.
     #[test]
@@ -765,6 +771,11 @@ mod tests {
         assert_eq!(last["enumerated"], stats.enumerated);
         assert_eq!(last["bound_pruned"], stats.bound_pruned);
         assert_eq!(last["costed"], stats.costed);
+        // The work counters stream beside them: every visited row is
+        // allocated, and rows sharing a tile grid score parallelism once.
+        assert!(last["allocated"] > 0);
+        assert!(last["par_grids"] > 0);
+        assert!(last["par_grids"] <= last["allocated"]);
 
         // One balanced span over the candidate-index clock, plus at least
         // one incumbent-improvement instant (the search found something).
