@@ -48,15 +48,6 @@
 //! exported by [`capacity_certificates`] so callers (the audit bin) can
 //! print the proof artifact next to the pass/fail verdict; the
 //! `skip-capacity-floor` rule fires on any edge below its floor.
-//!
-//! # Flavor-plan cross-check
-//!
-//! The parallel engine picks a channel implementation per edge
-//! (`morph_pipeline::flavor_plan`): a cheap SPSC ring where a Kahn
-//! ordering proves the edge knot-free, a general channel otherwise.
-//! [`audit_flavor_plan`] re-proves knot-freedom from this pass's own
-//! SCC decomposition and demands edge-for-edge agreement with the plan
-//! (rule `flavor-plan`) — two independent provers, one fact.
 
 use crate::{AuditPass, Violation};
 use morph_pipeline::PipelineSpec;
@@ -358,13 +349,6 @@ pub fn audit_spec(spec: &PipelineSpec) -> Vec<Violation> {
         ));
     }
 
-    // Flavor-plan cross-check against the parallel engine's live plan
-    // (the planner requires in-bounds edges; `edge-out-of-bounds` above
-    // already covers the malformed case).
-    if spec.edges.iter().all(|e| e.from < n && e.to < n) {
-        out.extend(audit_flavor_plan(spec, &morph_pipeline::flavor_plan(spec)));
-    }
-
     // Reconvergence floor, only derivable on knot-free graphs (a cyclic
     // graph has no topological order, and the knot rule already fired).
     if !knotted {
@@ -384,81 +368,6 @@ pub fn audit_spec(spec: &PipelineSpec) -> Vec<Violation> {
         }
     }
 
-    out
-}
-
-/// Cross-check a parallel-engine channel-flavor plan against an
-/// independent wait-for analysis (rule `flavor-plan`).
-///
-/// The parallel engine's planner (`morph_pipeline::flavor_plan`) proves
-/// acyclicity with a Kahn ordering; this pass re-derives the same fact
-/// from the auditor's own SCC decomposition and demands *exact*
-/// agreement per edge. A plan that hands the cheap SPSC flavor to an
-/// edge touching a wait-for knot is unsound — the ring's semaphore
-/// protocol leans on the knot-free progress argument — while a plan
-/// that demotes a provably knot-free edge means one of the two
-/// independent provers is wrong; both directions fail loudly.
-///
-/// [`audit_spec`] calls this with the live plan; it is public so a
-/// report-carried or otherwise externally produced plan can be checked
-/// too. Out-of-bounds edges make flavor assignment meaningless, so the
-/// cross-check stands down (the `edge-out-of-bounds` rule already
-/// fired), as it does when the plan's length does not match the edge
-/// list at all.
-pub fn audit_flavor_plan(
-    spec: &PipelineSpec,
-    plan: &[morph_pipeline::ChannelFlavor],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let n = spec.stages.len();
-    if plan.len() != spec.edges.len() {
-        out.push(v(
-            "flavor-plan",
-            "pipeline",
-            format!(
-                "flavor plan covers {} edge(s) but the spec has {}: every channel \
-                 must be assigned exactly one flavor",
-                plan.len(),
-                spec.edges.len()
-            ),
-        ));
-        return out;
-    }
-    if !spec.edges.iter().all(|e| e.from < n && e.to < n) {
-        return out;
-    }
-    let inbounds: Vec<(usize, usize)> = spec.edges.iter().map(|e| (e.from, e.to)).collect();
-    let mut in_knot = vec![false; n];
-    for members in sccs(n, &inbounds) {
-        if members.len() > 1 || inbounds.contains(&(members[0], members[0])) {
-            for &i in &members {
-                in_knot[i] = true;
-            }
-        }
-    }
-    for (e, flavor) in spec.edges.iter().zip(plan) {
-        let knot_free = !in_knot[e.from] && !in_knot[e.to];
-        let (expected, actual) = (
-            if knot_free { "acyclic" } else { "general" },
-            flavor.label(),
-        );
-        if expected != actual {
-            out.push(v(
-                "flavor-plan",
-                &edge_subject(spec, e.from, e.to),
-                format!(
-                    "channel flavor plan assigns the {actual} flavor but the \
-                     wait-for analysis proves this edge {}; the planner's Kahn \
-                     proof and the auditor's SCC proof must agree edge-for-edge",
-                    if knot_free {
-                        "knot-free (the cheap SPSC flavor is sound)"
-                    } else {
-                        "sits in a knot (the SPSC fast path is unsound there)"
-                    }
-                ),
-            ));
-        }
-    }
     out
 }
 
@@ -573,71 +482,6 @@ mod tests {
         let mut spec = diamond();
         spec.edges.push(edge(2, 2, 1));
         assert!(Violation::any_rule(&audit_spec(&spec), "wait-for-knot"));
-    }
-
-    #[test]
-    fn live_flavor_plans_always_agree_with_the_wait_for_analysis() {
-        // The engine's Kahn proof and the auditor's SCC proof are
-        // independent implementations of the same fact, so the live plan
-        // must never trip the cross-check — on clean specs, shuffled
-        // indices, or knotted specs (where the planner demotes the whole
-        // knot and the auditor concurs).
-        let mut knotted = diamond();
-        knotted.edges.push(edge(3, 1, 1));
-        for spec in [diamond(), knotted] {
-            let violations = audit_spec(&spec);
-            assert!(
-                !Violation::any_rule(&violations, "flavor-plan"),
-                "live plan must pass the cross-check: {violations:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn plan_promoting_a_knotted_edge_is_flagged() {
-        use morph_pipeline::ChannelFlavor;
-        // Feedback pair {b, d} plus the original diamond edges: claiming
-        // the cheap SPSC flavor on the backward edge (inside the knot)
-        // is exactly the unsoundness the rule exists to catch.
-        let mut spec = diamond();
-        spec.edges.push(edge(3, 1, 1));
-        let mut plan = morph_pipeline::flavor_plan(&spec);
-        let backward = spec.edges.len() - 1;
-        plan[backward] = ChannelFlavor::Acyclic;
-        let violations = audit_flavor_plan(&spec, &plan);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert_eq!(violations[0].rule, "flavor-plan");
-        assert!(violations[0].detail.contains("unsound"), "{violations:?}");
-    }
-
-    #[test]
-    fn plan_demoting_a_knot_free_edge_is_flagged() {
-        use morph_pipeline::ChannelFlavor;
-        let spec = diamond();
-        let mut plan = morph_pipeline::flavor_plan(&spec);
-        assert!(plan.iter().all(|f| *f == ChannelFlavor::Acyclic));
-        plan[2] = ChannelFlavor::General;
-        let violations = audit_flavor_plan(&spec, &plan);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert_eq!(violations[0].rule, "flavor-plan");
-        assert!(violations[0].detail.contains("knot-free"), "{violations:?}");
-    }
-
-    #[test]
-    fn plan_with_wrong_edge_count_is_flagged() {
-        let spec = diamond();
-        let violations = audit_flavor_plan(&spec, &[]);
-        assert!(Violation::any_rule(&violations, "flavor-plan"));
-    }
-
-    #[test]
-    fn cross_check_stands_down_on_out_of_bounds_edges() {
-        // Flavor assignment is meaningless once an edge points outside
-        // the stage list; edge-out-of-bounds already fired in audit_spec.
-        let mut spec = diamond();
-        spec.edges.push(edge(0, 9, 1));
-        let plan = vec![morph_pipeline::ChannelFlavor::General; spec.edges.len()];
-        assert!(audit_flavor_plan(&spec, &plan).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use morph_core::RunReport;
 use std::process::Command;
 
 /// All experiment binaries, in dependency-free execution order.
-const BINS: [&str; 20] = [
+const BINS: [&str; 19] = [
     "tables",
     "table4",
     "fig1a",
@@ -25,14 +25,13 @@ const BINS: [&str; 20] = [
     "fig10",
     "ablate_flex",
     "pipeline",
-    "parallel",
     "pareto",
     "search",
     "trace",
 ];
 
 /// The subset that persists a structured `RunReport`.
-const REPORTING_BINS: [&str; 11] = [
+const REPORTING_BINS: [&str; 10] = [
     "fig4a",
     "fig4b",
     "fig4c",
@@ -41,7 +40,6 @@ const REPORTING_BINS: [&str; 11] = [
     "fig10",
     "ablate_flex",
     "pipeline",
-    "parallel",
     "pareto",
     "search",
 ];

@@ -4,10 +4,10 @@
 //! The crate has two faces:
 //!
 //! * **A sync shim** ([`sync::Mutex`], [`sync::AtomicCell`],
-//!   [`sync::RaceCell`], [`sync::Channel`]) and a **thread shim**
-//!   ([`thread::scope`]) that in normal builds are thin wrappers over
-//!   `std::sync` / `std::thread` — same semantics, one thread-local
-//!   lookup of overhead per operation.
+//!   [`sync::RaceCell`]) and a **thread shim** ([`thread::scope`]) that
+//!   in normal builds are thin wrappers over `std::sync` /
+//!   `std::thread` — same semantics, one thread-local lookup of
+//!   overhead per operation.
 //! * **A model checker** ([`explore`]): run a closure repeatedly under a
 //!   deterministic scheduler that serialises the real OS threads and
 //!   explores the tree of interleavings bounded-exhaustively (DFS with
@@ -23,16 +23,15 @@
 //!
 //! * **Data races** on [`sync::RaceCell`] via vector clocks (FastTrack
 //!   style: last-write epoch + per-thread read clocks, synchronised
-//!   through mutex acquire/release, channel send/recv, atomic ops, and
-//!   spawn/join edges).
+//!   through mutex acquire/release, atomic ops, and spawn/join edges).
 //! * **Lost updates** on [`sync::AtomicCell`]: a plain `store` by a
 //!   thread whose last `load` of the cell is stale (the value was
 //!   republished in between) silently discards the concurrent update;
 //!   read-modify-write ops (`fetch_add`, `compare_exchange`) are exempt.
 //! * **Deadlocks**: the scheduler knows every thread's pending operation,
 //!   so "no thread runnable but some blocked" is detected exactly, with
-//!   the wait-for relation (who holds the lock, which channel is
-//!   empty/full, which join is pending) printed per blocked thread.
+//!   the wait-for relation (who holds the lock, which join is pending)
+//!   printed per blocked thread.
 //! * **Property failures**: any panic inside the closure (a failed
 //!   `assert!`) or an explicit [`violate`] call.
 //!
@@ -162,7 +161,7 @@ impl Report {
 /// Explore the interleavings of `f` under the model scheduler.
 ///
 /// `f` runs once per schedule and must create every model-visible object
-/// (shim mutexes, cells, channels, the structures built on them) inside
+/// (shim mutexes, cells, the structures built on them) inside
 /// the closure: the DFS replays schedule prefixes across executions and
 /// relies on each execution starting from the same state.
 ///

@@ -18,18 +18,16 @@
 //! every enabled thread sleeps is redundant — some equivalent
 //! interleaving (commuting adjacent independent ops) was already
 //! explored — and is abandoned. Two ops conflict iff they touch the same
-//! object and at least one writes (lock/lock and send/recv pairs on the
-//! same object always conflict).
+//! object and at least one writes (lock/lock pairs on the same object
+//! always conflict).
 //!
 //! Happens-before is tracked with vector clocks: spawn and join edges,
-//! mutex release→acquire, channel send→recv, and atomic store→load all
-//! transfer clocks. [`crate::sync::RaceCell`] accesses are deliberately
+//! mutex release→acquire and atomic store→load all transfer clocks. [`crate::sync::RaceCell`] accesses are deliberately
 //! *not* synchronising — the checker flags any pair of concurrent
 //! accesses (at least one a write) as a data race, FastTrack style
 //! (last-write epoch + per-thread read clocks).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
@@ -155,14 +153,6 @@ pub(crate) enum Op {
     AtomicStore(ObjId),
     /// `AtomicCell` read-modify-write (`fetch_add`, `compare_exchange`).
     AtomicRmw(ObjId),
-    /// Push into a bounded channel (blocks while full).
-    ChanSend(ObjId),
-    /// Pop from a bounded channel (blocks while empty).
-    ChanRecv(ObjId),
-    /// Take one permit from a semaphore (blocks while none are
-    /// available). The matching release is not a yield point — it
-    /// mirrors mutex unlock and publishes the release clock directly.
-    SemAcquire(ObjId),
     /// Unsynchronised read of a `RaceCell`.
     RaceRead(ObjId),
     /// Unsynchronised write of a `RaceCell`.
@@ -178,9 +168,6 @@ impl Op {
             | Op::AtomicLoad(o)
             | Op::AtomicStore(o)
             | Op::AtomicRmw(o)
-            | Op::ChanSend(o)
-            | Op::ChanRecv(o)
-            | Op::SemAcquire(o)
             | Op::RaceRead(o)
             | Op::RaceWrite(o) => Some(o),
             Op::Begin | Op::Join(_) => None,
@@ -266,11 +253,7 @@ pub(crate) enum ObjKind {
     Mutex,
     /// `sync::AtomicCell`.
     Atomic,
-    /// `sync::Channel`.
-    Chan,
-    /// `sync::Semaphore`.
-    Sem,
-    /// `sync::RaceCell` / `sync::RaceSlot`.
+    /// `sync::RaceCell`.
     Race,
 }
 
@@ -279,8 +262,6 @@ impl ObjKind {
         match self {
             ObjKind::Mutex => "Mutex",
             ObjKind::Atomic => "AtomicCell",
-            ObjKind::Chan => "Channel",
-            ObjKind::Sem => "Semaphore",
             ObjKind::Race => "RaceCell",
         }
     }
@@ -289,11 +270,9 @@ impl ObjKind {
 #[derive(Debug)]
 struct ObjState {
     kind: ObjKind,
-    /// Release clock (mutex unlocks, channel sends, atomic stores).
+    /// Release clock (mutex unlocks, atomic stores).
     clock: Vc,
     owner: Option<Tid>,
-    chan_len: usize,
-    chan_cap: usize,
     /// Store version for lost-update detection.
     version: u64,
     /// Version last observed (load/store/rmw) per thread.
@@ -305,15 +284,11 @@ struct ObjState {
 }
 
 impl ObjState {
-    fn new(kind: ObjKind, chan_cap: usize) -> Self {
+    fn new(kind: ObjKind) -> Self {
         ObjState {
             kind,
             clock: Vc::default(),
             owner: None,
-            // Semaphores reuse the channel counter as their permit pool,
-            // starting full; channels start empty.
-            chan_len: if kind == ObjKind::Sem { chan_cap } else { 0 },
-            chan_cap,
             version: 0,
             last_read: Vec::new(),
             write_epoch: None,
@@ -494,10 +469,10 @@ impl Scheduler {
     }
 
     /// Register a shim object on first use in this execution.
-    pub(crate) fn register_object(&self, kind: ObjKind, chan_cap: usize) -> ObjId {
+    pub(crate) fn register_object(&self, kind: ObjKind) -> ObjId {
         let mut st = self.lock_state();
         let id = st.objs.len();
-        st.objs.push(ObjState::new(kind, chan_cap));
+        st.objs.push(ObjState::new(kind));
         id
     }
 
@@ -562,22 +537,6 @@ impl Scheduler {
             return;
         }
         st.objs[o].owner = None;
-        let vc = st.threads[tid].vc.clone();
-        st.objs[o].clock.join(&vc);
-        st.threads[tid].vc.bump(tid);
-    }
-
-    /// Return a permit to a shim semaphore. Like
-    /// [`Scheduler::release_mutex`] this is not a yield point: the
-    /// release publishes the releasing thread's clock so the next
-    /// acquirer inherits a happens-before edge, and newly-unblocked
-    /// waiters become enabled at the next scheduling decision.
-    pub(crate) fn release_sem(&self, tid: Tid, o: ObjId) {
-        let mut st = self.lock_state();
-        if o >= st.objs.len() {
-            return;
-        }
-        st.objs[o].chan_len += 1;
         let vc = st.threads[tid].vc.clone();
         st.objs[o].clock.join(&vc);
         st.threads[tid].vc.bump(tid);
@@ -799,21 +758,6 @@ impl Scheduler {
                 st.objs[o].note_observed(tid, v);
                 release(st, tid, o);
             }
-            Op::ChanSend(o) => {
-                debug_assert!(st.objs[o].chan_len < st.objs[o].chan_cap);
-                st.objs[o].chan_len += 1;
-                release(st, tid, o);
-            }
-            Op::ChanRecv(o) => {
-                debug_assert!(st.objs[o].chan_len > 0);
-                st.objs[o].chan_len -= 1;
-                acquire(st, tid, o);
-            }
-            Op::SemAcquire(o) => {
-                debug_assert!(st.objs[o].chan_len > 0);
-                st.objs[o].chan_len -= 1;
-                acquire(st, tid, o);
-            }
             Op::RaceRead(o) => {
                 if let Some((wt, wc)) = st.objs[o].write_epoch {
                     if st.threads[tid].vc.get(wt) < wc {
@@ -891,9 +835,6 @@ fn release(st: &mut ExecState, tid: Tid, o: ObjId) {
 fn blocked(st: &ExecState, op: Op) -> bool {
     match op {
         Op::MutexLock(o) => st.objs[o].owner.is_some(),
-        Op::ChanSend(o) => st.objs[o].chan_len >= st.objs[o].chan_cap,
-        Op::ChanRecv(o) => st.objs[o].chan_len == 0,
-        Op::SemAcquire(o) => st.objs[o].chan_len == 0,
         Op::Join(u) => st.threads[u].status != Status::Finished,
         Op::Begin
         | Op::AtomicLoad(_)
@@ -928,9 +869,6 @@ fn describe_op(op: Op, objs: &[ObjState]) -> String {
         Op::AtomicLoad(o) => format!("load({})", name(o)),
         Op::AtomicStore(o) => format!("store({})", name(o)),
         Op::AtomicRmw(o) => format!("rmw({})", name(o)),
-        Op::ChanSend(o) => format!("send({})", name(o)),
-        Op::ChanRecv(o) => format!("recv({})", name(o)),
-        Op::SemAcquire(o) => format!("acquire({})", name(o)),
         Op::RaceRead(o) => format!("read({})", name(o)),
         Op::RaceWrite(o) => format!("write({})", name(o)),
         Op::Join(u) => format!("join(t{u})"),
@@ -953,20 +891,6 @@ fn deadlock_message(st: &ExecState, parked: &[Tid]) -> String {
                 ),
                 None => format!("thread {t} waits to lock {}", obj_name(&st.objs[o], o)),
             },
-            Op::ChanSend(o) => format!(
-                "thread {t} waits to send on full {} (cap {})",
-                obj_name(&st.objs[o], o),
-                st.objs[o].chan_cap
-            ),
-            Op::ChanRecv(o) => format!(
-                "thread {t} waits to recv on empty {}",
-                obj_name(&st.objs[o], o)
-            ),
-            Op::SemAcquire(o) => format!(
-                "thread {t} waits to acquire {} with no permits (of {})",
-                obj_name(&st.objs[o], o),
-                st.objs[o].chan_cap
-            ),
             Op::Join(u) => format!("thread {t} waits to join thread {u}"),
             _ => format!("thread {t} blocked on {}", describe_op(op, &st.objs)),
         };
@@ -1027,17 +951,14 @@ impl ObjTag {
         }
     }
 
-    pub(crate) fn id(&self, sched: &Scheduler, kind: ObjKind, chan_cap: usize) -> ObjId {
+    pub(crate) fn id(&self, sched: &Scheduler, kind: ObjKind) -> ObjId {
         let mut slot = match self.slot.lock() {
             Ok(g) => g,
             Err(e) => e.into_inner(),
         };
         if slot.0 != sched.serial {
-            *slot = (sched.serial, sched.register_object(kind, chan_cap));
+            *slot = (sched.serial, sched.register_object(kind));
         }
         slot.1
     }
 }
-
-// VecDeque is used by the channel shim; re-export the path for sync.rs.
-pub(crate) type ChanQueue<T> = VecDeque<T>;

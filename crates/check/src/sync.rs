@@ -7,7 +7,7 @@
 //! parks until granted, and only then touches the — by construction
 //! uncontended — underlying storage.
 
-use crate::sched::{self, ChanQueue, Ctx, ObjKind, ObjTag, Op};
+use crate::sched::{self, Ctx, ObjKind, ObjTag, Op};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync as std_sync;
@@ -54,7 +54,7 @@ impl<T> Mutex<T> {
     /// thread) until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let model = sched::current_ctx().map(|ctx| {
-            let id = self.tag.id(&ctx.sched, ObjKind::Mutex, 0);
+            let id = self.tag.id(&ctx.sched, ObjKind::Mutex);
             ctx.sched.yield_op(ctx.tid, Op::MutexLock(id));
             (ctx, id)
         });
@@ -130,7 +130,7 @@ impl<T: Copy> AtomicCell<T> {
 
     fn yield_to(&self, op: impl FnOnce(usize) -> Op) -> Option<Ctx> {
         sched::current_ctx().inspect(|ctx| {
-            let id = self.tag.id(&ctx.sched, ObjKind::Atomic, 0);
+            let id = self.tag.id(&ctx.sched, ObjKind::Atomic);
             ctx.sched.yield_op(ctx.tid, op(id));
         })
     }
@@ -210,7 +210,7 @@ impl<T: Copy> RaceCell<T> {
     /// Read the value (race-checked under the model).
     pub fn get(&self) -> T {
         if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Race, 0);
+            let id = self.tag.id(&ctx.sched, ObjKind::Race);
             ctx.sched.yield_op(ctx.tid, Op::RaceRead(id));
         }
         *std_lock(&self.inner)
@@ -219,220 +219,9 @@ impl<T: Copy> RaceCell<T> {
     /// Write the value (race-checked under the model).
     pub fn set(&self, value: T) {
         if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Race, 0);
+            let id = self.tag.id(&ctx.sched, ObjKind::Race);
             ctx.sched.yield_op(ctx.tid, Op::RaceWrite(id));
         }
         *std_lock(&self.inner) = value;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RaceSlot
-
-/// A deliberately unsynchronised **storage slot** for non-`Copy` values:
-/// the move-semantics sibling of [`RaceCell`]. `put` parks a value,
-/// `take` removes it; both count as writes for the race detector, so any
-/// pair of concurrent accesses without a happens-before edge is flagged
-/// as a [`crate::ViolationKind::DataRace`]. The SPSC ring buffer behind
-/// the parallel pipeline engine stores its payloads in `RaceSlot`s:
-/// passing the checker proves the surrounding semaphore protocol alone
-/// orders every producer `put` before the matching consumer `take`.
-#[derive(Debug, Default)]
-pub struct RaceSlot<T> {
-    tag: ObjTag,
-    inner: std_sync::Mutex<Option<T>>,
-}
-
-impl<T> RaceSlot<T> {
-    /// An empty slot.
-    pub fn empty() -> Self {
-        RaceSlot {
-            tag: ObjTag::new(),
-            inner: std_sync::Mutex::new(None),
-        }
-    }
-
-    /// Park a value in the slot (race-checked under the model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is already occupied — an occupied `put` means
-    /// the caller's flow-control protocol is broken.
-    pub fn put(&self, value: T) {
-        if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Race, 0);
-            ctx.sched.yield_op(ctx.tid, Op::RaceWrite(id));
-        }
-        let prev = std_lock(&self.inner).replace(value);
-        assert!(prev.is_none(), "RaceSlot::put into an occupied slot");
-    }
-
-    /// Remove and return the slot's value, if any (race-checked under
-    /// the model; removal mutates, so this is a write).
-    pub fn take(&self) -> Option<T> {
-        if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Race, 0);
-            ctx.sched.yield_op(ctx.tid, Op::RaceWrite(id));
-        }
-        std_lock(&self.inner).take()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semaphore
-
-/// A counting semaphore. Normal builds block on a condvar; under the
-/// model, `acquire` with no permits parks the model thread and feeds the
-/// scheduler's exact deadlock detection, and `release` publishes the
-/// releasing thread's vector clock (mirroring mutex unlock) so
-/// release → acquire is a happens-before edge. The parallel pipeline
-/// engine uses semaphore pairs as the item/space counters of its SPSC
-/// channel flavor and as the worker-admission throttle.
-#[derive(Debug)]
-pub struct Semaphore {
-    tag: ObjTag,
-    initial: usize,
-    permits: std_sync::Mutex<usize>,
-    available: std_sync::Condvar,
-}
-
-impl Semaphore {
-    /// A semaphore starting with `permits` permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            tag: ObjTag::new(),
-            initial: permits,
-            permits: std_sync::Mutex::new(permits),
-            available: std_sync::Condvar::new(),
-        }
-    }
-
-    /// Permits the semaphore started with.
-    pub fn initial_permits(&self) -> usize {
-        self.initial
-    }
-
-    /// Take one permit, blocking (in model mode: parking the model
-    /// thread) until one is available.
-    pub fn acquire(&self) {
-        if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Sem, self.initial);
-            ctx.sched.yield_op(ctx.tid, Op::SemAcquire(id));
-            let mut p = std_lock(&self.permits);
-            debug_assert!(*p > 0, "scheduler granted acquire with no permits");
-            *p -= 1;
-            return;
-        }
-        let mut p = std_lock(&self.permits);
-        while *p == 0 {
-            p = match self.available.wait(p) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
-        *p -= 1;
-    }
-
-    /// Return one permit, waking a blocked acquirer.
-    pub fn release(&self) {
-        let model = sched::current_ctx();
-        *std_lock(&self.permits) += 1;
-        match model {
-            Some(ctx) => {
-                // Not a yield point — see Scheduler::release_sem.
-                let id = self.tag.id(&ctx.sched, ObjKind::Sem, self.initial);
-                ctx.sched.release_sem(ctx.tid, id);
-            }
-            None => self.available.notify_one(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Channel
-
-/// A bounded MPMC channel. Normal builds block on condvars; under the
-/// model, send-on-full and recv-on-empty park the model thread and feed
-/// the scheduler's exact deadlock detection (this is the primitive the
-/// future DAM-style parallel engine will run on, and the reason the
-/// audit layer proves channel graphs knot-free).
-#[derive(Debug)]
-pub struct Channel<T> {
-    tag: ObjTag,
-    cap: usize,
-    inner: std_sync::Mutex<ChanQueue<T>>,
-    not_full: std_sync::Condvar,
-    not_empty: std_sync::Condvar,
-}
-
-impl<T> Channel<T> {
-    /// A channel holding at most `cap` items (`cap >= 1`).
-    pub fn bounded(cap: usize) -> Self {
-        assert!(cap >= 1, "channel capacity must be at least 1");
-        Channel {
-            tag: ObjTag::new(),
-            cap,
-            inner: std_sync::Mutex::new(ChanQueue::new()),
-            not_full: std_sync::Condvar::new(),
-            not_empty: std_sync::Condvar::new(),
-        }
-    }
-
-    /// Capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Queued items right now (racy outside the model; diagnostic only).
-    pub fn len(&self) -> usize {
-        std_lock(&self.inner).len()
-    }
-
-    /// True when nothing is queued (racy outside the model).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Push an item, blocking while the channel is full.
-    pub fn send(&self, value: T) {
-        if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Chan, self.cap);
-            ctx.sched.yield_op(ctx.tid, Op::ChanSend(id));
-            std_lock(&self.inner).push_back(value);
-            return;
-        }
-        let mut q = std_lock(&self.inner);
-        while q.len() >= self.cap {
-            q = match self.not_full.wait(q) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
-        q.push_back(value);
-        drop(q);
-        self.not_empty.notify_one();
-    }
-
-    /// Pop an item, blocking while the channel is empty.
-    pub fn recv(&self) -> T {
-        if let Some(ctx) = sched::current_ctx() {
-            let id = self.tag.id(&ctx.sched, ObjKind::Chan, self.cap);
-            ctx.sched.yield_op(ctx.tid, Op::ChanRecv(id));
-            return std_lock(&self.inner)
-                .pop_front()
-                .expect("scheduler granted recv on a non-empty channel");
-        }
-        let mut q = std_lock(&self.inner);
-        loop {
-            if let Some(v) = q.pop_front() {
-                drop(q);
-                self.not_full.notify_one();
-                return v;
-            }
-            q = match self.not_empty.wait(q) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
     }
 }

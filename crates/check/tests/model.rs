@@ -2,7 +2,7 @@
 //! proven schedule-exhaustively, and each seeded mutant is caught by the
 //! exact detector that owns it, with a replayable certificate.
 
-use morph_check::sync::{AtomicCell, Channel, Mutex, RaceCell, RaceSlot, Semaphore};
+use morph_check::sync::{AtomicCell, Mutex, RaceCell};
 use morph_check::{explore, explore_replay, Config, ViolationKind};
 
 fn cfg() -> Config {
@@ -72,26 +72,6 @@ fn fetch_add_counter_loses_nothing() {
 }
 
 #[test]
-fn bounded_channel_pipeline_drains() {
-    let report = explore(&cfg(), || {
-        let ch = Channel::bounded(1);
-        let sum = morph_check::thread::scope(|s| {
-            let producer = s.spawn(|| {
-                for i in 1..=3u64 {
-                    ch.send(i);
-                }
-            });
-            let consumer = s.spawn(|| (0..3).map(|_| ch.recv()).sum::<u64>());
-            producer.join().unwrap();
-            consumer.join().unwrap()
-        });
-        assert_eq!(sum, 6);
-    });
-    report.assert_ok();
-    assert!(report.completed, "2-thread cap-1 pipeline should exhaust");
-}
-
-#[test]
 fn sleep_sets_prune_independent_interleavings() {
     // Two threads on two different mutexes: every interleaving is
     // equivalent, so DPOR must prune a chunk of the tree.
@@ -135,67 +115,6 @@ fn exploration_is_deterministic() {
     assert_eq!(a.schedules_explored, b.schedules_explored);
     assert_eq!(a.schedules_pruned, b.schedules_pruned);
     assert_eq!(a.completed, b.completed);
-}
-
-#[test]
-fn semaphore_handoff_orders_race_slot_accesses() {
-    // The one-slot SPSC handoff idiom the parallel engine's ring buffer
-    // uses: items/spaces semaphores carry the happens-before edges, the
-    // payload lives in a RaceSlot. Passing the checker proves the
-    // semaphore protocol alone (no extra lock) orders every put before
-    // the matching take.
-    let report = explore(&cfg(), || {
-        let slot = RaceSlot::empty();
-        let items = Semaphore::new(0);
-        let spaces = Semaphore::new(1);
-        let got = morph_check::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..2u64 {
-                    spaces.acquire();
-                    slot.put(i);
-                    items.release();
-                }
-            });
-            let consumer = s.spawn(|| {
-                let mut out = Vec::new();
-                for _ in 0..2 {
-                    items.acquire();
-                    out.push(slot.take().expect("item semaphore granted"));
-                    spaces.release();
-                }
-                out
-            });
-            consumer.join().unwrap()
-        });
-        assert_eq!(got, vec![0, 1]);
-    });
-    report.assert_ok();
-    assert!(report.completed, "2-thread handoff should exhaust");
-}
-
-#[test]
-fn semaphore_bounds_concurrent_admissions() {
-    // An admission throttle with one permit is a mutex: the guarded
-    // counter section can never be entered concurrently.
-    let report = explore(&cfg(), || {
-        let gate = Semaphore::new(1);
-        let in_section = AtomicCell::new(0usize);
-        morph_check::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    gate.acquire();
-                    let seen = in_section.fetch_add(1);
-                    assert_eq!(seen, 0, "throttle admitted two workers at once");
-                    in_section
-                        .compare_exchange(1, 0)
-                        .expect("sole occupant leaves");
-                    gate.release();
-                });
-            }
-        });
-    });
-    report.assert_ok();
-    assert!(report.completed);
 }
 
 // -------------------------------------------------------------------------
@@ -276,83 +195,6 @@ fn mutant_lock_order_inversion_caught_by_deadlock_rule() {
 }
 
 #[test]
-fn mutant_unbounded_channel_wait_caught_by_deadlock_rule() {
-    // Cross-coupled channels, both empty at the start: whichever thread
-    // runs first blocks on recv, then the other does too.
-    let mutant = || {
-        let c1 = Channel::bounded(1);
-        let c2 = Channel::bounded(1);
-        morph_check::thread::scope(|s| {
-            s.spawn(|| {
-                let v: u32 = c1.recv();
-                c2.send(v);
-            });
-            s.spawn(|| {
-                let v: u32 = c2.recv();
-                c1.send(v);
-            });
-        });
-    };
-    let report = explore(&cfg(), mutant);
-    let cert = assert_caught(&report, ViolationKind::Deadlock);
-    let v = report.first_violation().unwrap();
-    assert!(
-        v.message.contains("recv on empty"),
-        "deadlock report must show the channel waits: {v}"
-    );
-    let replay = explore_replay(&cert, mutant);
-    assert_caught(&replay, ViolationKind::Deadlock);
-}
-
-#[test]
-fn mutant_unreleased_semaphore_caught_by_deadlock_rule() {
-    // A consumer that acquires before the producer ever releases, while
-    // the producer waits on a channel the consumer was supposed to feed.
-    let mutant = || {
-        let items = Semaphore::new(0);
-        let ch = Channel::bounded(1);
-        morph_check::thread::scope(|s| {
-            s.spawn(|| {
-                let _: u32 = ch.recv();
-                items.release();
-            });
-            s.spawn(|| {
-                items.acquire();
-                ch.send(1u32);
-            });
-        });
-    };
-    let report = explore(&cfg(), mutant);
-    let cert = assert_caught(&report, ViolationKind::Deadlock);
-    let v = report.first_violation().unwrap();
-    assert!(
-        v.message.contains("no permits"),
-        "deadlock report must show the semaphore wait: {v}"
-    );
-    let replay = explore_replay(&cert, mutant);
-    assert_caught(&replay, ViolationKind::Deadlock);
-}
-
-#[test]
-fn mutant_unguarded_slot_handoff_caught_by_race_rule() {
-    // Dropping the items-semaphore frontier from the handoff leaves the
-    // consumer polling the slot concurrently with the producer's put.
-    let mutant = || {
-        let slot = RaceSlot::empty();
-        morph_check::thread::scope(|s| {
-            s.spawn(|| slot.put(1u64));
-            s.spawn(|| {
-                let _ = slot.take();
-            });
-        });
-    };
-    let report = explore(&cfg(), mutant);
-    let cert = assert_caught(&report, ViolationKind::DataRace);
-    let replay = explore_replay(&cert, mutant);
-    assert_caught(&replay, ViolationKind::DataRace);
-}
-
-#[test]
 fn failed_assertion_caught_as_property_violation() {
     let report = explore(&cfg(), || {
         let c = AtomicCell::new(0usize);
@@ -391,29 +233,6 @@ fn shims_work_outside_the_model() {
     let r = RaceCell::new(7u64);
     r.set(8);
     assert_eq!(r.get(), 8);
-
-    let ch = Channel::bounded(2);
-    ch.send(1u8);
-    ch.send(2u8);
-    assert_eq!(ch.capacity(), 2);
-    assert_eq!(ch.len(), 2);
-    assert_eq!(ch.recv(), 1);
-    assert_eq!(ch.recv(), 2);
-    assert!(ch.is_empty());
-
-    let sem = Semaphore::new(2);
-    assert_eq!(sem.initial_permits(), 2);
-    sem.acquire();
-    sem.acquire();
-    sem.release();
-    sem.acquire();
-    sem.release();
-    sem.release();
-
-    let slot = RaceSlot::empty();
-    assert!(slot.take().is_none());
-    slot.put(vec![1u8, 2]);
-    assert_eq!(slot.take(), Some(vec![1u8, 2]));
 
     let total = morph_check::thread::scope(|s| {
         let h1 = s.spawn(|| 20u32);

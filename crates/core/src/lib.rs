@@ -66,7 +66,7 @@
 //!
 //! For streaming-video workloads, a session can additionally schedule each
 //! network's conv-level dependency DAG as a cross-layer pipeline
-//! ([`PipelineMode`], backed by the `morph-pipeline` event engine):
+//! ([`PipelineMode`], backed by the `morph-pipeline` schedule engine):
 //! fork/join branches run as genuinely parallel stages on disjoint cluster
 //! subsets (each branch channel takes a proportional split of the staging
 //! buffer), and every run carries a [`PipelineReport`] with steady-state
@@ -142,8 +142,7 @@ pub use morph_optimizer::{
     StoredDecision,
 };
 pub use morph_pipeline::{
-    EdgeReport, EngineKind, ParetoPoint, ParetoReport, PipelineCaps, PipelineMode, PipelineReport,
-    StageReport,
+    EdgeReport, ParetoPoint, ParetoReport, PipelineCaps, PipelineMode, PipelineReport, StageReport,
 };
 pub use report::{LayerRecord, NetworkRun, RunReport, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use session::{Session, SessionBuilder, DEFAULT_PIPELINE_FRAMES};

@@ -44,8 +44,8 @@ use crate::report::{LayerRecord, NetworkRun, RunReport, SCHEMA_VERSION};
 use morph_nets::Network;
 use morph_optimizer::{DecisionStore, Objective, Optimizer, SearchStats, StoreKey, StoredDecision};
 use morph_pipeline::{
-    balance, pareto_frontier, simulate_traced_with_engine, simulate_with_engine, EdgeSpec,
-    EngineKind, ParetoPoint, ParetoReport, PipelineMode, PipelineReport, PipelineSpec, StageSpec,
+    balance, pareto_frontier, simulate, simulate_traced, EdgeSpec, ParetoPoint, ParetoReport,
+    PipelineMode, PipelineReport, PipelineSpec, StageSpec,
 };
 use morph_tensor::shape::ConvShape;
 use morph_trace::{NoopRecorder, PrefixRecorder, Recorder};
@@ -98,9 +98,6 @@ pub struct Session {
     threads: usize,
     pipeline: PipelineMode,
     pipeline_frames: u64,
-    /// Which pipeline engine every simulation of this session runs
-    /// (resolved once at build time; see [`SessionBuilder::engine`]).
-    engine: EngineKind,
     /// Trace sink for wall-clock evaluation spans, cache counters and the
     /// final pipeline simulation ([`NoopRecorder`] unless
     /// [`SessionBuilder::trace`] attached one).
@@ -117,7 +114,6 @@ pub struct SessionBuilder {
     threads: Option<usize>,
     pipeline: PipelineMode,
     pipeline_frames: Option<u64>,
-    engine: Option<EngineKind>,
     trace: Option<Arc<dyn Recorder>>,
 }
 
@@ -166,18 +162,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Pipeline engine selection (default [`EngineKind::Sequential`],
-    /// the shipping oracle). Every pipeline simulation of the session —
-    /// greedy rebalance iterations, Pareto sweep points, the adopted
-    /// schedule and the chain baseline — runs under the selected engine;
-    /// [`EngineKind::Debug`] therefore differentially bit-checks each
-    /// one. The `MORPH_ENGINE` environment variable, when set, overrides
-    /// whatever is configured here (it is read once, at [`Self::build`]).
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = Some(kind);
-        self
-    }
-
     /// Attach a trace [`Recorder`]. Each [`Session::run`] then records:
     ///
     /// * a **wall-clock** span (nanoseconds since run start) per fresh
@@ -216,9 +200,6 @@ impl SessionBuilder {
             threads: self.threads.unwrap_or_else(par::default_threads),
             pipeline: self.pipeline,
             pipeline_frames: self.pipeline_frames.unwrap_or(DEFAULT_PIPELINE_FRAMES),
-            engine: EngineKind::from_env()
-                .or(self.engine)
-                .unwrap_or(EngineKind::Sequential),
             trace: self.trace.unwrap_or_else(|| Arc::new(NoopRecorder)),
             last_hits: Mutex::new(Vec::new()),
         }
@@ -249,10 +230,9 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// Run one pipeline simulation under the session's engine selection
-    /// (sequential oracle, parallel engine, or differential debug mode).
+    /// Run one pipeline simulation over the session's frame count.
     fn sim(&self, spec: &PipelineSpec) -> morph_pipeline::PipelineStats {
-        simulate_with_engine(self.engine, spec, self.pipeline_frames)
+        simulate(spec, self.pipeline_frames)
     }
 
     /// The configured backends (session order).
@@ -659,12 +639,7 @@ impl Session {
                 Arc::clone(&self.trace),
                 format!("pipe:{}/{}/", backend.name(), net_name),
             );
-            simulate_traced_with_engine(
-                self.engine,
-                &spec_of(&services),
-                self.pipeline_frames,
-                &rec,
-            )
+            simulate_traced(&spec_of(&services), self.pipeline_frames, &rec)
         } else {
             self.sim(&spec_of(&services))
         };
@@ -703,7 +678,7 @@ impl Session {
     /// stage takes the cheapest budgeted mapping that still meets the
     /// deadline, and over-subscribed fork/join groups shrink members
     /// (cheapest first) until they fit the chip's cluster budget. The new
-    /// schedule is adopted only if the event engine confirms it streams
+    /// schedule is adopted only if the pipeline engine confirms it streams
     /// at least as fast as the greedy one.
     #[allow(clippy::too_many_arguments)]
     fn reclaim_slack(
@@ -796,7 +771,7 @@ impl Session {
     /// The [`PipelineMode::Pareto`] sweep: tabulate every stage's
     /// (service, energy) across cluster budgets and objectives, sweep
     /// service deadlines, allocate + budget-fit each, simulate every
-    /// distinct allocation with the event engine, filter by the power
+    /// distinct allocation with the pipeline engine, filter by the power
     /// cap, and keep the non-dominated points. The chosen schedule (the
     /// fastest capped point, or the coolest candidate if the cap is
     /// unattainable) is written back into the schedule arrays; the
@@ -1160,10 +1135,6 @@ mod tests {
     const TEST_CLUSTERS: usize = 4;
 
     fn run_mode(mode: PipelineMode) -> RunReport {
-        run_mode_engine(mode, EngineKind::Sequential)
-    }
-
-    fn run_mode_engine(mode: PipelineMode, engine: EngineKind) -> RunReport {
         let arch = morph_dataflow::arch::ArchSpec {
             clusters: TEST_CLUSTERS,
             ..morph_dataflow::arch::ArchSpec::morph()
@@ -1172,35 +1143,8 @@ mod tests {
             .backend(Morph::builder().arch(arch).build())
             .network(branched_net())
             .pipeline(mode)
-            .engine(engine)
             .build()
             .run()
-    }
-
-    #[test]
-    fn engine_selection_is_report_invisible() {
-        // The parallel engine (and the both-engines debug mode, which
-        // bit-checks every simulation internally) must produce the exact
-        // report the sequential oracle ships — byte-identical JSON.
-        for mode in [
-            PipelineMode::Analytic,
-            PipelineMode::DagRebalanced,
-            PipelineMode::Pareto { power_cap_mw: None },
-        ] {
-            let seq = run_mode_engine(mode, EngineKind::Sequential);
-            let par = run_mode_engine(mode, EngineKind::Parallel);
-            let dbg = run_mode_engine(mode, EngineKind::Debug);
-            assert_eq!(
-                seq.to_json_string(),
-                par.to_json_string(),
-                "parallel engine diverged in {mode:?}"
-            );
-            assert_eq!(
-                seq.to_json_string(),
-                dbg.to_json_string(),
-                "debug engine diverged in {mode:?}"
-            );
-        }
     }
 
     #[test]

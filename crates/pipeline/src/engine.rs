@@ -1,12 +1,11 @@
-//! The discrete-event pipeline engine.
+//! The pipeline engine: the exact schedule of a bounded-channel DAG.
 //!
 //! A [`PipelineSpec`] is a **DAG** of stages connected by bounded,
-//! directed channels ([`EdgeSpec`]); [`simulate`] advances it with
-//! time-stamped completion events (DAM-style) and returns
-//! [`PipelineStats`]: makespan, fill/drain latency, steady-state
-//! throughput, per-stage utilization and per-channel occupancy. Linear
-//! chains build through [`PipelineSpec::chain`]; fork/join networks list
-//! their edges explicitly.
+//! directed channels ([`EdgeSpec`]); [`simulate`] computes its schedule
+//! and returns [`PipelineStats`]: makespan, fill/drain latency,
+//! steady-state throughput, per-stage utilization and per-channel
+//! occupancy. Linear chains build through [`PipelineSpec::chain`];
+//! fork/join networks list their edges explicitly.
 //!
 //! Semantics are blocking-after-service: a stage pops one frame from
 //! **every** input channel (a join waits for all branches), occupies
@@ -14,25 +13,38 @@
 //! output channel atomically (a fork replicates) — holding both the frame
 //! and the stage while any output channel is full. Source stages (no
 //! in-edges) draw from their own per-source frame supply; a frame is
-//! complete once every sink stage (no out-edges) has emitted it. Pops,
-//! pushes and starts cascade within a timestamp until a fixpoint, so
-//! simultaneous events resolve deterministically.
+//! complete once every sink stage (no out-edges) has emitted it.
+//!
+//! Service times do not depend on the data, so the schedule is a
+//! max-plus recurrence over the frame index `j`. With `pop_i(j)` the
+//! instant stage `i` pops frame `j`, `rel_i(j)` the instant it pushes
+//! it, `s_i` its service time, `cap_e` a channel's capacity and
+//! `rel_i(-1) = 0`:
+//!
+//! ```text
+//! pop_i(j) = max( rel_i(j-1), max over in-edges  (u -> i) rel_u(j) )
+//! rel_i(j) = max( pop_i(j) + s_i, max over out-edges (i -> v) pop_v(j - cap_e) )
+//! ```
+//!
+//! where an out-edge term exists only for `j >= cap_e`. Every edge
+//! points forward ([`PipelineSpec::validate`]), so stage-index order is
+//! a topological order and [`simulate`] evaluates the recurrence frame
+//! by frame in that order, folding every statistic as it goes. Its state
+//! is bounded by the spec, not the frame count: one ring per channel
+//! holds the consumer's last `cap_e + 1` pops, which serve both the
+//! credit term and the channel's peak occupancy.
 //!
 //! [`simulate_traced`] additionally records the run through a
 //! `morph_trace::Recorder` in **simulated cycles**: per-stage `service` /
 //! `blocked_full` / `blocked_empty` spans on `stage:<i>:<name>` tracks
-//! and per-edge occupancy gauges on `edge:<from>-><to>` tracks. Events
-//! are buffered during the run, settled (one gauge per channel per
-//! touched timestamp, carrying the value left once the timestamp's
-//! cascade finished) and emitted in [`morph_trace::canonical_sort`]
-//! order, so the recorded buffer is a pure function of the schedule —
-//! bit-identical across runs of the same spec *and* across engines
-//! ([`crate::parallel::simulate_parallel_traced`] reproduces it
-//! byte-for-byte); [`simulate`] uses the zero-overhead `NoopRecorder`.
+//! and per-edge occupancy gauges on `edge:<from>-><to>` tracks. Gauges
+//! are settled (one per channel per touched timestamp, carrying the
+//! value left once the timestamp's pushes and pops are done) and all
+//! events are emitted in [`morph_trace::canonical_sort`] order, so the
+//! recorded buffer is a pure function of the schedule, bit-identical
+//! across runs; [`simulate`] uses the zero-overhead `NoopRecorder`.
 
 use morph_trace::{canonical_sort, NoopRecorder, Phase, Recorder, TraceEvent};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// How a backend provisions its buffer hierarchy for cross-layer
 /// pipelining (the `Backend::pipeline_caps` hook).
@@ -283,253 +295,45 @@ impl PipelineStats {
     }
 }
 
-/// Bounded-channel state with time-weighted occupancy accounting.
-/// `pub(crate)` so the parallel engine's post-hoc channel walk folds
-/// occupancy with the exact same arithmetic as the sequential oracle.
-pub(crate) struct Chan {
-    pub(crate) cap: usize,
-    pub(crate) occ: usize,
-    pub(crate) max: usize,
-    pub(crate) integral: u128,
-    pub(crate) last_t: u64,
-}
-
-/// Canonical track name for stage `i` — shared by both engines so their
-/// traced sidecars land on identical tracks.
-pub(crate) fn stage_track(i: usize, name: &str) -> String {
-    format!("stage:{i}:{name}")
-}
-
-/// Canonical track name for the channel of edge `from -> to`.
-pub(crate) fn edge_track(from: usize, to: usize) -> String {
-    format!("edge:{from}->{to}")
+/// One channel's share of the recurrence state. Its size depends on the
+/// capacity, never on the frame count.
+struct Chan {
+    /// The consumer's latest pops, `pop_to(k)` at slot `k % ring.len()`:
+    /// frames `j - cap ..= j` once frame `j` is folded (every frame when
+    /// the run is shorter than `cap + 1`).
+    ring: Vec<u64>,
+    /// Consumer pops no later than the producer's latest push.
+    popped: u64,
+    /// Peak settled occupancy.
+    peak: u64,
+    /// Total residence time `Σ_j (pop_to(j) − rel_from(j))`, which is
+    /// the occupancy integral over the run.
+    residence: u128,
 }
 
 impl Chan {
-    /// Record an occupancy change at `now`. Peak and integral fold only
-    /// *settled* values — the occupancy left once a timestamp's cascade
-    /// has finished — so both are pure functions of the push/pop time
-    /// multisets, independent of same-cycle cascade order. (Transient
-    /// intra-timestamp spikes occupy the buffer for zero cycles and
-    /// would otherwise make `max` depend on relaxation order.)
-    pub(crate) fn set(&mut self, now: u64, occ: usize) {
-        if now > self.last_t {
-            self.max = self.max.max(self.occ);
-            self.integral += self.occ as u128 * u128::from(now - self.last_t);
-            self.last_t = now;
+    fn slot(&self, k: u64) -> usize {
+        (k % self.ring.len() as u64) as usize
+    }
+
+    /// `pop_to(j − cap)`: the consumer pop that frees the slot frame `j`
+    /// pushes into (none while `j < cap`).
+    fn credit(&self, j: u64, cap: usize) -> Option<u64> {
+        j.checked_sub(cap as u64).map(|k| self.ring[self.slot(k)])
+    }
+
+    /// Fold frame `j`, pushed at `push = rel_from(j)` and popped at
+    /// `pop = pop_to(j)`. Occupancy only rises at pushes, one per
+    /// timestamp because `rel` strictly increases, so its settled peak is
+    /// `(j + 1)` minus the pops no later than some push.
+    fn fold(&mut self, j: u64, push: u64, pop: u64) {
+        let s = self.slot(j);
+        self.ring[s] = pop;
+        self.residence += u128::from(pop - push);
+        while self.popped <= j && self.ring[self.slot(self.popped)] <= push {
+            self.popped += 1;
         }
-        self.occ = occ;
-    }
-
-    /// Fold the final settled value; call once after the last `set`.
-    pub(crate) fn close(&mut self, makespan: u64) {
-        self.set(makespan, self.occ);
-        self.max = self.max.max(self.occ);
-    }
-}
-
-struct Sim<'a> {
-    spec: &'a PipelineSpec,
-    frames: u64,
-    now: u64,
-    /// In/out channel indices per stage.
-    ins: Vec<Vec<usize>>,
-    outs: Vec<Vec<usize>>,
-    /// Frames still waiting at each source stage (0 for non-sources).
-    source: Vec<u64>,
-    chans: Vec<Chan>,
-    busy: Vec<bool>,
-    holding: Vec<bool>,
-    hold_since: Vec<u64>,
-    /// When each stage last went idle (starvation clock for non-sources).
-    idle_since: Vec<u64>,
-    done: Vec<u64>,
-    busy_cycles: Vec<u64>,
-    blocked_cycles: Vec<u64>,
-    starved_cycles: Vec<u64>,
-    /// Hoisted `Recorder::enabled()` flag; when tracing is off the
-    /// instrumentation below is a dead branch per event site.
-    traced: bool,
-    /// Per-stage and per-edge track names (built only when traced).
-    stage_tracks: Vec<String>,
-    edge_tracks: Vec<String>,
-    /// Buffered span events (service / blocked_full / blocked_empty) in
-    /// engine call order; canonicalized and emitted after the run.
-    spans: Vec<TraceEvent>,
-    /// Raw per-op occupancy samples `(channel, time, occupancy)`; the
-    /// last sample per `(channel, time)` is the settled gauge value.
-    gauges: Vec<(usize, u64, u64)>,
-    /// Frames emitted per sink stage (usize::MAX sentinel unused).
-    sink_exits: Vec<u64>,
-    is_source: Vec<bool>,
-    is_sink: Vec<bool>,
-    frames_out: u64,
-    first_exit: u64,
-    last_exit: u64,
-    last_entry: u64,
-    /// Pending completion events: (time, sequence, stage).
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    seq: u64,
-}
-
-impl Sim<'_> {
-    fn input_ready(&self, i: usize) -> bool {
-        if self.is_source[i] {
-            self.source[i] > 0
-        } else {
-            self.ins[i].iter().all(|&c| self.chans[c].occ > 0)
-        }
-    }
-
-    fn output_has_space(&self, i: usize) -> bool {
-        self.outs[i]
-            .iter()
-            .all(|&c| self.chans[c].occ < self.chans[c].cap)
-    }
-
-    /// Buffer a closed `[t0, t1)` span as a Begin/End event pair.
-    fn push_span(&mut self, i: usize, name: &str, t0: u64, t1: u64) {
-        self.spans.push(TraceEvent {
-            track: self.stage_tracks[i].clone(),
-            name: name.into(),
-            ts: t0,
-            phase: Phase::Begin,
-        });
-        self.spans.push(TraceEvent {
-            track: self.stage_tracks[i].clone(),
-            name: name.into(),
-            ts: t1,
-            phase: Phase::End,
-        });
-    }
-
-    fn pop_input(&mut self, i: usize) {
-        if self.is_source[i] {
-            self.source[i] -= 1;
-            // The drain clock starts when the *last* source pop happens.
-            self.last_entry = self.now;
-        } else {
-            for ci in 0..self.ins[i].len() {
-                let c = self.ins[i][ci];
-                let occ = self.chans[c].occ - 1;
-                self.chans[c].set(self.now, occ);
-                if self.traced {
-                    self.gauges.push((c, self.now, occ as u64));
-                }
-            }
-        }
-    }
-
-    /// Push stage `i`'s finished frame into every output channel (the
-    /// caller checked space); sink stages exit into the completion
-    /// accounting instead.
-    fn push_output(&mut self, i: usize) {
-        if self.is_sink[i] {
-            self.sink_exits[i] += 1;
-            // A frame is complete once every sink has emitted it.
-            let completed = self
-                .is_sink
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| s)
-                .map(|(j, _)| self.sink_exits[j])
-                .min()
-                .unwrap_or(0);
-            if completed > self.frames_out {
-                if self.frames_out == 0 {
-                    self.first_exit = self.now;
-                }
-                self.frames_out = completed;
-                self.last_exit = self.now;
-            }
-        } else {
-            for ci in 0..self.outs[i].len() {
-                let c = self.outs[i][ci];
-                let occ = self.chans[c].occ + 1;
-                self.chans[c].set(self.now, occ);
-                if self.traced {
-                    self.gauges.push((c, self.now, occ as u64));
-                }
-            }
-        }
-    }
-
-    /// Cascade deliveries and starts at the current timestamp until no
-    /// stage can make progress.
-    fn relax(&mut self) {
-        let n = self.spec.stages.len();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                if self.holding[i] && self.output_has_space(i) {
-                    self.push_output(i);
-                    self.holding[i] = false;
-                    self.blocked_cycles[i] += self.now - self.hold_since[i];
-                    if self.traced && self.now > self.hold_since[i] {
-                        self.push_span(i, "blocked_full", self.hold_since[i], self.now);
-                    }
-                    self.idle_since[i] = self.now;
-                    changed = true;
-                }
-                if !self.busy[i] && !self.holding[i] && self.input_ready(i) {
-                    // Idle time of a non-source stage is exactly time spent
-                    // waiting for input: back-pressure shows up as `holding`
-                    // and service as `busy`, so nothing else keeps a ready
-                    // stage idle.
-                    if !self.is_source[i] {
-                        let starved = self.now - self.idle_since[i];
-                        self.starved_cycles[i] += starved;
-                        if self.traced && starved > 0 {
-                            self.push_span(i, "blocked_empty", self.idle_since[i], self.now);
-                        }
-                    }
-                    self.pop_input(i);
-                    self.busy[i] = true;
-                    if self.traced {
-                        let ev = TraceEvent {
-                            track: self.stage_tracks[i].clone(),
-                            name: "service".into(),
-                            ts: self.now,
-                            phase: Phase::Begin,
-                        };
-                        self.spans.push(ev);
-                    }
-                    let t = self.now + self.spec.stages[i].service_cycles;
-                    self.heap.push(Reverse((t, self.seq, i)));
-                    self.seq += 1;
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        self.relax();
-        while let Some(Reverse((t, _, i))) = self.heap.pop() {
-            debug_assert!(t >= self.now, "events must be processed in time order");
-            self.now = t;
-            self.busy[i] = false;
-            self.done[i] += 1;
-            self.busy_cycles[i] += self.spec.stages[i].service_cycles;
-            if self.traced {
-                let ev = TraceEvent {
-                    track: self.stage_tracks[i].clone(),
-                    name: "service".into(),
-                    ts: t,
-                    phase: Phase::End,
-                };
-                self.spans.push(ev);
-            }
-            if self.output_has_space(i) {
-                self.push_output(i);
-                self.idle_since[i] = self.now;
-            } else {
-                self.holding[i] = true;
-                self.hold_since[i] = self.now;
-            }
-            self.relax();
-        }
+        self.peak = self.peak.max(j + 1 - self.popped);
     }
 }
 
@@ -563,147 +367,163 @@ pub fn simulate_traced(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> 
         outs[e.from].push(ei);
         ins[e.to].push(ei);
     }
-    let is_source: Vec<bool> = (0..n).map(|i| ins[i].is_empty()).collect();
-    let is_sink: Vec<bool> = (0..n).map(|i| outs[i].is_empty()).collect();
-    let source: Vec<u64> = (0..n)
-        .map(|i| if is_source[i] { frames } else { 0 })
+    let run_len = usize::try_from(frames).unwrap_or(usize::MAX);
+    let mut chans: Vec<Chan> = spec
+        .edges
+        .iter()
+        .map(|e| Chan {
+            ring: vec![0; e.capacity.saturating_add(1).min(run_len)],
+            popped: 0,
+            peak: 0,
+            residence: 0,
+        })
         .collect();
+    // `rel[i]` is `rel_i(j)` once stage `i` has run frame `j`, and
+    // `rel_i(j − 1)` before.
+    let mut rel = vec![0u64; n];
+    let mut blocked = vec![0u64; n];
+    let mut starved = vec![0u64; n];
+    // `pop` and `rel` increase with `j`, so running maxima over sinks
+    // (sources) end at the last frame's exit (entry).
+    let (mut fill, mut makespan, mut last_entry) = (0, 0, 0);
+    // A traced run keeps its whole `(pop, rel)` schedule for emission.
     let traced = rec.enabled();
-    let (stage_tracks, edge_tracks) = if traced {
-        (
-            spec.stages
+    let mut schedule: Vec<Vec<(u64, u64)>> = vec![Vec::new(); if traced { n } else { 0 }];
+    for j in 0..frames {
+        for i in 0..n {
+            let prev = rel[i];
+            let pop = ins[i]
                 .iter()
-                .enumerate()
-                .map(|(i, s)| stage_track(i, &s.name))
-                .collect(),
-            spec.edges
+                .map(|&e| rel[spec.edges[e].from])
+                .fold(prev, u64::max);
+            if ins[i].is_empty() {
+                last_entry = last_entry.max(pop);
+            } else {
+                starved[i] += pop - prev;
+            }
+            for &e in &ins[i] {
+                chans[e].fold(j, rel[spec.edges[e].from], pop);
+            }
+            let done = pop + spec.stages[i].service_cycles;
+            let r = outs[i]
                 .iter()
-                .map(|e| edge_track(e.from, e.to))
-                .collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let mut sim = Sim {
-        spec,
-        frames,
-        now: 0,
-        ins,
-        outs,
-        source,
-        chans: spec
-            .edges
-            .iter()
-            .map(|e| Chan {
-                cap: e.capacity,
-                occ: 0,
-                max: 0,
-                integral: 0,
-                last_t: 0,
-            })
-            .collect(),
-        busy: vec![false; n],
-        holding: vec![false; n],
-        hold_since: vec![0; n],
-        idle_since: vec![0; n],
-        done: vec![0; n],
-        busy_cycles: vec![0; n],
-        blocked_cycles: vec![0; n],
-        starved_cycles: vec![0; n],
-        traced,
-        stage_tracks,
-        edge_tracks,
-        spans: Vec::new(),
-        gauges: Vec::new(),
-        sink_exits: vec![0; n],
-        is_source,
-        is_sink,
-        frames_out: 0,
-        first_exit: 0,
-        last_exit: 0,
-        last_entry: 0,
-        heap: BinaryHeap::new(),
-        seq: 0,
-    };
-    sim.run();
-    assert_eq!(sim.frames_out, frames, "conservation: frames in == out");
-
-    if traced {
-        let mut events = std::mem::take(&mut sim.spans);
-        // Settle gauges: per-op samples for one channel arrive in
-        // non-decreasing time order, so the last sample per timestamp is
-        // the value left once the cascade finished — the only value the
-        // buffer holds for a nonzero duration.
-        let mut pending: Vec<Option<(u64, u64)>> = vec![None; spec.edges.len()];
-        for (c, t, occ) in std::mem::take(&mut sim.gauges) {
-            match pending[c] {
-                Some((pt, _)) if pt == t => pending[c] = Some((t, occ)),
-                Some((pt, pocc)) => {
-                    events.push(TraceEvent {
-                        track: sim.edge_tracks[c].clone(),
-                        name: "occupancy".into(),
-                        ts: pt,
-                        phase: Phase::Gauge(pocc),
-                    });
-                    pending[c] = Some((t, occ));
+                .filter_map(|&e| chans[e].credit(j, spec.edges[e].capacity))
+                .fold(done, u64::max);
+            blocked[i] += r - done;
+            rel[i] = r;
+            if outs[i].is_empty() {
+                makespan = makespan.max(r);
+                if j == 0 {
+                    fill = fill.max(r);
                 }
-                None => pending[c] = Some((t, occ)),
             }
-        }
-        for (c, p) in pending.iter().enumerate() {
-            if let Some((t, occ)) = p {
-                events.push(TraceEvent {
-                    track: sim.edge_tracks[c].clone(),
-                    name: "occupancy".into(),
-                    ts: *t,
-                    phase: Phase::Gauge(*occ),
-                });
+            if traced {
+                schedule[i].push((pop, r));
             }
-        }
-        canonical_sort(&mut events);
-        for e in events {
-            rec.record(e);
         }
     }
 
-    let makespan = sim.last_exit;
-    let stages = (0..n)
-        .map(|i| StageStats {
-            name: spec.stages[i].name.clone(),
-            service_cycles: spec.stages[i].service_cycles,
-            frames: sim.done[i],
-            busy_cycles: sim.busy_cycles[i],
-            blocked_cycles: sim.blocked_cycles[i],
-            starved_cycles: sim.starved_cycles[i],
+    if traced {
+        record_schedule(spec, &schedule, rec);
+    }
+    let stages = spec
+        .stages
+        .iter()
+        .enumerate()
+        .map(|(i, s)| StageStats {
+            name: s.name.clone(),
+            service_cycles: s.service_cycles,
+            frames,
+            busy_cycles: frames * s.service_cycles,
+            blocked_cycles: blocked[i],
+            starved_cycles: starved[i],
         })
         .collect();
-    let channels = sim
-        .chans
-        .iter_mut()
-        .zip(&spec.edges)
-        .map(|(c, e)| {
-            c.close(makespan); // close the occupancy integral and peak
-            ChannelStats {
-                from: e.from,
-                to: e.to,
-                capacity: c.cap,
-                max_occupancy: c.max,
-                mean_occupancy: if makespan > 0 {
-                    c.integral as f64 / makespan as f64
-                } else {
-                    0.0
-                },
-            }
+    let channels = spec
+        .edges
+        .iter()
+        .zip(&chans)
+        .map(|(e, c)| ChannelStats {
+            from: e.from,
+            to: e.to,
+            capacity: e.capacity,
+            max_occupancy: c.peak as usize,
+            mean_occupancy: if makespan > 0 {
+                c.residence as f64 / makespan as f64
+            } else {
+                0.0
+            },
         })
         .collect();
     PipelineStats {
-        frames_in: sim.frames,
-        frames_out: sim.frames_out,
+        frames_in: frames,
+        frames_out: frames,
         makespan_cycles: makespan,
-        fill_cycles: sim.first_exit,
-        drain_cycles: makespan - sim.last_entry,
+        fill_cycles: fill,
+        drain_cycles: makespan - last_entry,
         stages,
         channels,
+    }
+}
+
+/// Emit a traced run's spans and settled occupancy gauges, in
+/// [`canonical_sort`] order, from its per-stage `(pop, rel)` schedule.
+fn record_schedule(spec: &PipelineSpec, schedule: &[Vec<(u64, u64)>], rec: &dyn Recorder) {
+    let mut events = Vec::new();
+    let mut span = |track: &str, name: &str, t0: u64, t1: u64| {
+        for (ts, phase) in [(t0, Phase::Begin), (t1, Phase::End)] {
+            events.push(TraceEvent {
+                track: track.to_string(),
+                name: name.into(),
+                ts,
+                phase,
+            });
+        }
+    };
+    for (i, stage) in spec.stages.iter().enumerate() {
+        let track = format!("stage:{i}:{}", stage.name);
+        let mut prev = 0;
+        for &(pop, rel) in &schedule[i] {
+            let done = pop + stage.service_cycles;
+            span(&track, "service", pop, done);
+            if rel > done {
+                span(&track, "blocked_full", done, rel);
+            }
+            // A source pops as soon as it releases, so it never starves.
+            if pop > prev {
+                span(&track, "blocked_empty", prev, pop);
+            }
+            prev = rel;
+        }
+    }
+    for e in &spec.edges {
+        let track = format!("edge:{}->{}", e.from, e.to);
+        // Merge the sorted push and pop instants; each distinct instant
+        // gets one gauge carrying the occupancy left once it settles.
+        let mut pushes = schedule[e.from].iter().map(|&(_, rel)| rel).peekable();
+        let mut pops = schedule[e.to].iter().map(|&(pop, _)| pop).peekable();
+        let mut occ = 0u64;
+        while let Some(t) = match (pushes.peek(), pops.peek()) {
+            (Some(&a), Some(&b)) => Some(a.min(b)),
+            (a, b) => a.or(b).copied(),
+        } {
+            while pushes.next_if_eq(&t).is_some() {
+                occ += 1;
+            }
+            while pops.next_if_eq(&t).is_some() {
+                occ -= 1;
+            }
+            events.push(TraceEvent {
+                track: track.clone(),
+                name: "occupancy".into(),
+                ts: t,
+                phase: Phase::Gauge(occ),
+            });
+        }
+    }
+    canonical_sort(&mut events);
+    for e in events {
+        rec.record(e);
     }
 }
 

@@ -1,7 +1,6 @@
 //! # morph-pipeline
 //!
-//! Event-driven cross-layer pipeline scheduling for streaming video
-//! workloads.
+//! Cross-layer pipeline scheduling for streaming video workloads.
 //!
 //! The paper's evaluation (and `morph-core`'s per-layer scoring) treats
 //! every layer in isolation, but Morph's target workload is *streaming*
@@ -11,12 +10,14 @@
 //! network as a **DAG of layer stages** connected by **bounded,
 //! double-buffered channels** ([`EdgeSpec`]; capacities derived from the
 //! backend's buffer hierarchy via [`PipelineCaps`], split across parallel
-//! branches with [`PipelineCaps::split`]) and advances it with a
-//! dependency-free **discrete-event engine** — time-stamped completion
-//! events with deterministic same-cycle cascading, in the style of the
-//! Dataflow Abstract Machine simulator's stage/channel decomposition.
-//! Joins pop one frame from every branch, forks replicate into every
-//! output channel, parallel source streams draw frames independently.
+//! branches with [`PipelineCaps::split`]) and computes its exact
+//! schedule. The semantics are the Dataflow Abstract Machine simulator's
+//! stage/channel decomposition: joins pop one frame from every branch,
+//! forks replicate into every output channel, parallel source streams
+//! draw frames independently. Because service times do not depend on
+//! the data, that schedule is a max-plus recurrence over frames, and
+//! [`simulate`] evaluates it directly in stage order (see [`engine`]),
+//! in memory bounded by the spec rather than the frame count.
 //!
 //! ```
 //! use morph_pipeline::{simulate, PipelineSpec, StageSpec};
@@ -58,17 +59,9 @@
 //! same simulation as per-stage service/blocked/starved spans and
 //! per-edge occupancy gauges — in simulated cycles, bit-identical across
 //! runs — through a `morph_trace::Recorder`.
-//!
-//! The sequential event loop is also the **oracle** for a DAM-style
-//! parallel engine ([`parallel`]): each stage runs as a context on a
-//! worker thread, synchronizing only through time-stamped bounded
-//! channels (acyclic-proven edges take a cheaper SPSC path, per
-//! [`flavor_plan`]), and [`EngineKind::Debug`] runs both engines on
-//! every simulation and asserts bit-identical stats and traces.
 
 pub mod balance;
 pub mod engine;
-pub mod parallel;
 pub mod report;
 
 pub use balance::{
@@ -78,11 +71,6 @@ pub use balance::{
 pub use engine::{
     simulate, simulate_traced, ChannelStats, EdgeSpec, PipelineCaps, PipelineSpec, PipelineStats,
     StageSpec, StageStats,
-};
-pub use parallel::{
-    flavor_plan, simulate_parallel, simulate_parallel_traced, simulate_parallel_traced_with,
-    simulate_parallel_with, simulate_traced_with_engine, simulate_with_engine, ChannelFlavor,
-    EngineKind, ParallelConfig, TimedChannel,
 };
 pub use report::{
     pareto_frontier, EdgeReport, ParetoPoint, ParetoReport, PipelineMode, PipelineReport,

@@ -1,7 +1,7 @@
 //! Shared seeded-pseudo-random spec generators for the integration
 //! suites (the workspace's xorshift harness): property tests sweep them
-//! against closed-form oracles, the differential suite against the
-//! parallel engine.
+//! against closed-form oracles, the oracle suite against the
+//! discrete-event loop.
 
 use morph_pipeline::{EdgeSpec, PipelineSpec, StageSpec};
 use morph_tensor::rng::XorShift as Rng;

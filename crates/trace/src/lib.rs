@@ -421,13 +421,13 @@ impl Recorder for TraceBuffer {
 /// counters, gauges, instants), then name, then payload.
 ///
 /// The order is a pure function of the event *set* — any two recordings
-/// of the same events, whatever their interleaving (single-threaded
-/// cascade order, per-stage parallel buffers), canonicalize to the same
-/// sequence, which is what lets the parallel pipeline engine emit
-/// byte-identical sidecars to the sequential oracle. `End` sorts before
-/// `Begin` at equal timestamps so abutting spans on one track (a
-/// `service` span ending exactly where a `blocked_full` span starts)
-/// stay properly nested for the trace audit pass.
+/// of the same events, whatever their emission order (an event loop's
+/// cascade order, a schedule walked stage by stage), canonicalize to the
+/// same sequence, which is what lets the pipeline engine's sidecars be
+/// compared byte for byte against its event-loop test oracle. `End`
+/// sorts before `Begin` at equal timestamps so abutting spans on one
+/// track (a `service` span ending exactly where a `blocked_full` span
+/// starts) stay properly nested for the trace audit pass.
 pub fn canonical_sort(events: &mut [TraceEvent]) {
     let rank = |p: Phase| -> u8 {
         match p {
