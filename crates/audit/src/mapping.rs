@@ -10,7 +10,7 @@
 //! For a store entry keyed `(shape, objective, clusters)` the audited
 //! architecture is `ArchSpec { clusters, ..chip }` — exactly the
 //! reduced-cluster spec a budgeted evaluation
-//! (`Backend::evaluate_layer_budgeted`) searches under, with the memory
+//! (`Backend::evaluate_layer_budget_sweep`) searches under, with the memory
 //! hierarchy unchanged. A decision must therefore hold on the cluster
 //! share its key claims, never on the full chip it may have been
 //! derived next to.

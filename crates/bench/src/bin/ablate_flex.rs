@@ -46,6 +46,7 @@ fn main() {
         )
         .backend(Morph::builder().effort(effort).name("full (Morph)").build())
         .network(zoo::c3d())
+        .threads(morph_bench::threads_from_env())
         .build()
         .run();
 

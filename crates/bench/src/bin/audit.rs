@@ -146,6 +146,7 @@ fn main() -> ExitCode {
         .backend(eyeriss)
         .networks(zoo::all())
         .pipeline(PipelineMode::DagRebalanced)
+        .threads(morph_bench::threads_from_env())
         .build()
         .run();
 

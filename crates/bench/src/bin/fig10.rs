@@ -14,6 +14,7 @@ fn main() {
                 .build(),
         )
         .networks(zoo::evaluation_networks())
+        .threads(morph_bench::threads_from_env())
         .build()
         .run();
 

@@ -14,6 +14,7 @@ fn main() {
                 .build(),
         )
         .network(zoo::c3d())
+        .threads(morph_bench::threads_from_env())
         .build()
         .run();
 

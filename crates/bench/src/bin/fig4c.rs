@@ -22,6 +22,7 @@ fn main() {
     let session = builder
         .backend(Morph::builder().effort(effort).name("Opt").build())
         .network(zoo::c3d())
+        .threads(morph_bench::threads_from_env())
         .build();
     let report = session.run();
 

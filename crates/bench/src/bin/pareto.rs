@@ -34,6 +34,7 @@ fn run(mode: PipelineMode) -> RunReport {
         .backend(Eyeriss::builder().build())
         .network(zoo::by_name(NETWORK).expect("zoo network"))
         .pipeline(mode)
+        .threads(morph_bench::threads_from_env())
         .build()
         .run()
 }

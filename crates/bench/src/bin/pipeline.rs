@@ -36,6 +36,7 @@ fn run(mode: PipelineMode) -> RunReport {
         .backend(Eyeriss::builder().build())
         .networks(networks)
         .pipeline(mode)
+        .threads(morph_bench::threads_from_env())
         .build()
         .run()
 }

@@ -47,6 +47,7 @@ fn main() {
         let session = Session::builder()
             .backend(Morph::builder().objective(objective).effort(effort).build())
             .networks(zoo::all())
+            .threads(morph_bench::threads_from_env())
             .build();
         let t0 = Instant::now();
         let report = session.run();

@@ -9,7 +9,8 @@
 //!   **candidate-index clock** (`search:*` tracks: streamed
 //!   enumerated/pruned/costed counters, incumbent instants);
 //! * `experiments_out/trace_session.json` — **wall-clock** evaluation
-//!   spans and cache counters (`eval:*`/`session:*` tracks).
+//!   and budget-sweep spans and cache counters
+//!   (`eval:*`/`sweep:*`/`session:*` tracks).
 //!
 //! Open any of them at <https://ui.perfetto.dev>. The first two domains
 //! are deterministic: this binary records the same workload twice from
@@ -60,7 +61,8 @@ fn main() {
 
     let is_pipe = |t: &str| t.starts_with("pipe:");
     let is_search = |t: &str| t.starts_with("search:");
-    let is_session = |t: &str| t.starts_with("eval:") || t.starts_with("session:");
+    let is_session =
+        |t: &str| t.starts_with("eval:") || t.starts_with("sweep:") || t.starts_with("session:");
 
     // Determinism gate: a second from-scratch run must reproduce the
     // simulated-time domains (cycle and candidate-index clocks) bit for

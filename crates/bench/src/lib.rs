@@ -55,6 +55,15 @@ pub fn effort_from_env() -> morph_optimizer::Effort {
     }
 }
 
+/// Session worker threads taken from `MORPH_THREADS` (default: the
+/// machine's available parallelism; `1` runs sequentially).
+pub fn threads_from_env() -> usize {
+    std::env::var("MORPH_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(morph_core::par::default_threads)
+}
+
 /// Path of the JSON report a named experiment persists.
 pub fn report_path(name: &str) -> PathBuf {
     Path::new(OUT_DIR).join(format!("{name}.json"))

@@ -58,18 +58,11 @@ pub trait Backend: Send + Sync {
     /// The objective this backend optimizes for (fixed at build time).
     fn objective(&self) -> Objective;
 
-    /// Evaluate one layer, returning cost and (if searched) the mapping.
+    /// Evaluate one layer under the backend's own objective on its full
+    /// chip, returning cost and (if searched) the mapping.
     fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval;
 
-    /// Evaluate one layer under an explicit objective, overriding the
-    /// backend's own. The pipeline rebalancer uses this to ask for
-    /// latency-optimal mappings of bottleneck stages; fixed-dataflow
-    /// backends ignore the objective (the default).
-    fn evaluate_layer_for(&self, shape: &ConvShape, _objective: Objective) -> LayerEval {
-        self.evaluate_layer(shape)
-    }
-
-    /// True if [`Backend::evaluate_layer_budgeted`] really honors a
+    /// True if [`Backend::evaluate_layer_budget_sweep`] really honors a
     /// reduced cluster budget. The DAG-aware rebalancer and the Pareto
     /// sweep only enumerate sub-chip shares for backends that return
     /// `true`; fixed-provisioning models keep the default `false` and are
@@ -78,46 +71,25 @@ pub trait Backend: Send + Sync {
         false
     }
 
-    /// Evaluate one layer under an explicit objective on a reduced
-    /// **cluster budget**: the mapping search runs against the same
-    /// architecture with only `clusters` compute clusters (the shared L2
-    /// stays whole — branch stages split compute, not the last-level
-    /// buffer). The DAG-aware pipeline rebalancer uses this to shift
-    /// cluster share between concurrently-live branch stages, and the
-    /// Pareto sweep to tabulate each stage's latency/energy across
-    /// shares. The default ignores the budget (fixed-dataflow backends
-    /// cannot shrink).
-    fn evaluate_layer_budgeted(
-        &self,
-        shape: &ConvShape,
-        objective: Objective,
-        _clusters: usize,
-    ) -> LayerEval {
-        self.evaluate_layer_for(shape, objective)
-    }
-
-    /// Evaluate one layer across a whole set of cluster budgets in one
-    /// call — the entry point the pipeline rebalancers and the Pareto
-    /// sweep use instead of rebuilding per-budget evaluations one by one.
-    ///
-    /// Searched backends walk the budgets monotonically (ascending, so
-    /// every seed is one budget step away from its consumer) and
+    /// Evaluate one layer under an explicit objective across a set of
+    /// **cluster budgets** — the only evaluation a [`crate::Session`]
+    /// makes; a single decision is a one-element sweep. A budget of `c`
+    /// runs the mapping search on the same architecture with only `c`
+    /// compute clusters (the shared L2 stays whole — branch stages split
+    /// compute, not the last-level buffer); budgets are clamped to the
+    /// chip. Searched backends walk the budgets ascending and
     /// **warm-start** each budget's branch-and-bound search with the
-    /// neighboring budget's best decision as the initial incumbent, so a
-    /// sweep over the whole chip costs little more than one cold search.
-    /// Results are returned in the order of `budgets`; the default maps
-    /// [`Backend::evaluate_layer_budgeted`] over them (fixed backends
-    /// return their one operating point for every budget).
+    /// neighboring budget's best decision, so a sweep over the whole chip
+    /// costs little more than one cold search. Results come back in the
+    /// order of `budgets`. The default maps [`Backend::evaluate_layer`]
+    /// over them: fixed-dataflow backends ignore objective and budget.
     fn evaluate_layer_budget_sweep(
         &self,
         shape: &ConvShape,
-        objective: Objective,
+        _objective: Objective,
         budgets: &[usize],
     ) -> Vec<LayerEval> {
-        budgets
-            .iter()
-            .map(|&c| self.evaluate_layer_budgeted(shape, objective, c))
-            .collect()
+        budgets.iter().map(|_| self.evaluate_layer(shape)).collect()
     }
 
     /// The backend's shared [`DecisionStore`], when it memoizes decisions
@@ -152,23 +124,6 @@ fn eval_of(d: &LayerDecision) -> LayerEval {
             par: d.par,
         }),
     }
-}
-
-/// Shared cluster-budgeted search path of the searched backends: fetch
-/// (or lazily build via `build`) the optimizer for the reduced-cluster
-/// provisioning — attached to the backend's shared [`DecisionStore`] —
-/// then search the layer on it.
-fn search_budgeted(
-    budgeted: &Mutex<HashMap<usize, Arc<Optimizer>>>,
-    arch: ArchSpec,
-    clusters: usize,
-    store: &Arc<DecisionStore>,
-    build: impl FnOnce(ArchSpec) -> Optimizer,
-    shape: &ConvShape,
-    objective: Objective,
-) -> LayerEval {
-    let opt = budgeted_optimizer(budgeted, arch, clusters, store, build);
-    eval_of(&opt.search_layer(shape, objective))
 }
 
 /// Fetch or lazily build the optimizer for a reduced-cluster provisioning,
@@ -422,42 +377,11 @@ impl Backend for Morph {
     }
 
     fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval {
-        self.evaluate_layer_for(shape, self.objective)
-    }
-
-    fn evaluate_layer_for(&self, shape: &ConvShape, objective: Objective) -> LayerEval {
-        let d = self.opt.search_layer(shape, objective);
-        LayerEval {
-            report: d.report,
-            decision: Some(MappingDecision {
-                config: d.config,
-                par: d.par,
-            }),
-        }
+        eval_of(&self.opt.search_layer(shape, self.objective))
     }
 
     fn supports_cluster_budget(&self) -> bool {
         true
-    }
-
-    fn evaluate_layer_budgeted(
-        &self,
-        shape: &ConvShape,
-        objective: Objective,
-        clusters: usize,
-    ) -> LayerEval {
-        if clusters == 0 || clusters >= self.arch.clusters {
-            return self.evaluate_layer_for(shape, objective);
-        }
-        search_budgeted(
-            &self.budgeted,
-            self.arch,
-            clusters,
-            &self.store,
-            |arch| self.spec.optimizer(arch),
-            shape,
-            objective,
-        )
     }
 
     fn evaluate_layer_budget_sweep(
@@ -641,42 +565,11 @@ impl Backend for MorphBase {
     }
 
     fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval {
-        self.evaluate_layer_for(shape, self.objective)
-    }
-
-    fn evaluate_layer_for(&self, shape: &ConvShape, objective: Objective) -> LayerEval {
-        let d = self.opt.search_layer(shape, objective);
-        LayerEval {
-            report: d.report,
-            decision: Some(MappingDecision {
-                config: d.config,
-                par: d.par,
-            }),
-        }
+        eval_of(&self.opt.search_layer(shape, self.objective))
     }
 
     fn supports_cluster_budget(&self) -> bool {
         true
-    }
-
-    fn evaluate_layer_budgeted(
-        &self,
-        shape: &ConvShape,
-        objective: Objective,
-        clusters: usize,
-    ) -> LayerEval {
-        if clusters == 0 || clusters >= self.arch.clusters {
-            return self.evaluate_layer_for(shape, objective);
-        }
-        search_budgeted(
-            &self.budgeted,
-            self.arch,
-            clusters,
-            &self.store,
-            |arch| self.spec.optimizer(arch),
-            shape,
-            objective,
-        )
     }
 
     fn evaluate_layer_budget_sweep(
@@ -836,6 +729,18 @@ mod tests {
         ConvShape::new_3d(14, 14, 4, 32, 64, 3, 3, 3).with_pad(1, 1)
     }
 
+    /// One decision under an explicit objective and cluster budget: a
+    /// one-element sweep.
+    fn budgeted(
+        b: &dyn Backend,
+        sh: &ConvShape,
+        objective: Objective,
+        clusters: usize,
+    ) -> LayerEval {
+        b.evaluate_layer_budget_sweep(sh, objective, &[clusters])
+            .remove(0)
+    }
+
     #[test]
     fn presets_have_paper_names() {
         assert_eq!(Morph::new().name(), "Morph");
@@ -908,20 +813,13 @@ mod tests {
         let m = Morph::new();
         assert!(m.supports_cluster_budget());
         assert!(!Eyeriss::new().supports_cluster_budget());
-        let full = m
-            .evaluate_layer_budgeted(&sh, Objective::Performance, 6)
-            .report;
-        let half = m
-            .evaluate_layer_budgeted(&sh, Objective::Performance, 3)
-            .report;
-        let one = m
-            .evaluate_layer_budgeted(&sh, Objective::Performance, 1)
-            .report;
-        // A full budget is exactly the unbudgeted evaluation.
-        assert_eq!(
-            full,
-            m.evaluate_layer_for(&sh, Objective::Performance).report
-        );
+        let full = budgeted(&m, &sh, Objective::Performance, 6).report;
+        let half = budgeted(&m, &sh, Objective::Performance, 3).report;
+        let one = budgeted(&m, &sh, Objective::Performance, 1).report;
+        // A full budget is exactly the unbudgeted evaluation under that
+        // objective.
+        let perf = Morph::builder().objective(Objective::Performance).build();
+        assert_eq!(full, perf.evaluate_layer(&sh).report);
         // Fewer clusters can only slow the layer down...
         assert!(half.cycles.total >= full.cycles.total);
         assert!(one.cycles.total >= half.cycles.total);
@@ -929,11 +827,7 @@ mod tests {
         let power = |r: &morph_energy::EnergyReport| r.total_pj() / r.cycles.total as f64;
         assert!(power(&one) < power(&full));
         // Budgets are clamped: oversized requests mean "the whole chip".
-        assert_eq!(
-            m.evaluate_layer_budgeted(&sh, Objective::Performance, 99)
-                .report,
-            full
-        );
+        assert_eq!(budgeted(&m, &sh, Objective::Performance, 99).report, full);
     }
 
     #[test]
@@ -941,15 +835,14 @@ mod tests {
         let sh = layer();
         let ey = Eyeriss::new();
         assert_eq!(
-            ey.evaluate_layer_budgeted(&sh, Objective::Performance, 1)
-                .report,
+            budgeted(&ey, &sh, Objective::Performance, 1).report,
             ey.evaluate_layer(&sh).report
         );
         // Morph_base honors it through its fixed-order search.
         let mb = MorphBase::new();
         assert!(mb.supports_cluster_budget());
-        let full = mb.evaluate_layer_budgeted(&sh, Objective::Energy, 6).report;
-        let two = mb.evaluate_layer_budgeted(&sh, Objective::Energy, 2).report;
+        let full = budgeted(&mb, &sh, Objective::Energy, 6).report;
+        let two = budgeted(&mb, &sh, Objective::Energy, 2).report;
         assert!(two.cycles.total >= full.cycles.total);
     }
 
@@ -961,10 +854,11 @@ mod tests {
         let sweep = swept.evaluate_layer_budget_sweep(&sh, Objective::Energy, &budgets);
         assert_eq!(sweep.len(), budgets.len());
         // The warm-started walk returns exactly what cold per-budget
-        // evaluations return (on a fresh backend, so nothing is cached).
+        // evaluations (one-element sweeps, so nothing seeds them) return
+        // on a fresh backend, where nothing is cached.
         let cold = Morph::new();
         for (&c, eval) in budgets.iter().zip(&sweep) {
-            let direct = cold.evaluate_layer_budgeted(&sh, Objective::Energy, c);
+            let direct = budgeted(&cold, &sh, Objective::Energy, c);
             assert_eq!(eval, &direct, "budget {c}");
         }
         // Fixed backends fall back to their one operating point.
@@ -982,11 +876,11 @@ mod tests {
         assert!(store.is_empty());
         m.evaluate_layer(&sh);
         assert_eq!(store.len(), 1, "the full-chip optimizer writes through");
-        m.evaluate_layer_budgeted(&sh, Objective::Energy, 3);
+        budgeted(&m, &sh, Objective::Energy, 3);
         assert_eq!(store.len(), 2, "budgeted searches key their own budget");
         // Replays are store hits, and an oversized budget is the full key.
         m.evaluate_layer(&sh);
-        m.evaluate_layer_budgeted(&sh, Objective::Energy, 99);
+        budgeted(&m, &sh, Objective::Energy, 99);
         assert_eq!(store.len(), 2);
         assert!(Eyeriss::new().decision_store().is_none());
     }
@@ -1007,11 +901,8 @@ mod tests {
         let after_full = buf.len();
         assert!(after_full > 0, "full-chip search recorded nothing");
 
-        let half = traced.evaluate_layer_budgeted(&sh, Objective::Energy, 3);
-        assert_eq!(
-            half,
-            plain.evaluate_layer_budgeted(&sh, Objective::Energy, 3)
-        );
+        let half = budgeted(&traced, &sh, Objective::Energy, 3);
+        assert_eq!(half, budgeted(&plain, &sh, Objective::Energy, 3));
         assert!(buf.len() > after_full, "budgeted search recorded nothing");
         let tracks: std::collections::HashSet<String> =
             buf.events().into_iter().map(|e| e.track).collect();

@@ -98,7 +98,7 @@
 //! concurrently-live stage groups competing for the chip's compute
 //! clusters. [`PipelineMode::DagRebalanced`] shifts cluster share
 //! between live branch stages under a per-group budget
-//! ([`Backend::evaluate_layer_budgeted`]) — throughput never drops below
+//! ([`Backend::evaluate_layer_budget_sweep`]) — throughput never drops below
 //! the greedy rebalancer and energy/frame never rises — and
 //! [`PipelineMode::Pareto`] sweeps allocations into a non-dominated
 //! (frames/sec, energy/frame, peak power) frontier, optionally under a

@@ -123,14 +123,8 @@ where
         .collect()
 }
 
-/// Default worker count: `MORPH_THREADS` if set, else the machine's
-/// available parallelism.
+/// Default worker count: the machine's available parallelism.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("MORPH_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

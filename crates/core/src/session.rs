@@ -1,42 +1,45 @@
 //! The [`Session`] runner: backends × networks → [`RunReport`].
 //!
 //! A session owns a set of [`Backend`] trait objects and a set of
-//! networks. [`Session::run`] evaluates every (backend, network) pair with
+//! networks. [`Session::run`] evaluates every (backend, network) pair in
+//! three phases:
 //!
-//! * **concurrent pair execution** — the fresh layer shapes of *all*
-//!   (backend, network) pairs are deduplicated into one flat work list and
-//!   fan out together across a scoped worker pool ([`crate::par`]), so
-//!   distinct backends and networks evaluate concurrently, not just the
-//!   layers within one pair;
-//! * **one shared [`DecisionStore`] per backend** — identical layers
-//!   (repeated ResNet blocks, the two Two-Stream towers, repeated
-//!   networks) are decided once per backend/objective/cluster-budget and
-//!   replayed from the store thereafter. Searched backends expose their
-//!   own store ([`crate::Backend::decision_store`]), so the optimizer's
-//!   memo and the session's cache are literally the same object — no
-//!   stacked caches, no duplicated decisions. Cache accounting keeps
-//!   *sequential semantics* (pairs are walked in session order before any
-//!   evaluation starts), so reports — including per-pair `cache_hits`,
-//!   also queryable via [`Session::cache_hits`] — are identical at any
-//!   thread count; and
-//! * **optional cross-layer pipelined scheduling** ([`PipelineMode`]) —
-//!   each run gains a [`morph_pipeline::PipelineReport`] simulating the
-//!   network's **conv-level dependency DAG** as a streaming pipeline:
-//!   one stage per layer, one bounded channel per graph edge
-//!   ([`morph_nets::Network::layer_edges`]), with fork/join branches
-//!   running as genuinely parallel stages on disjoint cluster subsets —
-//!   each branch channel gets a proportional split of
-//!   [`Backend::pipeline_caps`]'s staging buffer. The report also carries
-//!   the linearized-chain baseline (the pre-DAG schedule) for comparison
-//!   plus the schedule's energy-per-frame and peak-power scores. In
-//!   [`PipelineMode::Rebalanced`] a greedy pass re-optimizes bottleneck
-//!   stages (measured across branches) with a latency objective to
-//!   flatten the pipeline; [`PipelineMode::DagRebalanced`] adds the
-//!   DAG-aware pass (cluster share shifts between concurrently-live
-//!   branch stages under a per-group cluster budget); and
-//!   [`PipelineMode::Pareto`] sweeps cluster-share allocations into a
-//!   [`morph_pipeline::ParetoReport`] frontier over (throughput,
-//!   energy/frame, peak power), optionally under a peak-power cap.
+//! 1. **Plan** — list every decision the run reads: each backend's fresh
+//!    full-chip layer shapes, then the cluster-budget sweeps the
+//!    [`PipelineMode`]'s allocation tables read, deduplicated across all
+//!    pairs. Pairs are walked in session order, so reports — including
+//!    per-pair `cache_hits`, also queryable via [`Session::cache_hits`] —
+//!    are identical at any thread count.
+//! 2. **Decide** — the list fans out over one worker pool
+//!    ([`crate::par`]). Every evaluation goes through one store-first path
+//!    that calls only [`Backend::evaluate_layer_budget_sweep`].
+//! 3. **Assemble** — per pair, records are read back from the store and,
+//!    with a [`PipelineMode`], scheduled: store lookups plus simulations.
+//!
+//! Each backend has **one shared [`DecisionStore`]**: identical layers
+//! (repeated ResNet blocks, the two Two-Stream towers, repeated networks)
+//! are decided once per backend/objective/cluster budget. Searched
+//! backends expose their own store ([`crate::Backend::decision_store`]),
+//! so the optimizer's memo and the session's cache are the same object.
+//!
+//! With a pipeline mode, each run gains a
+//! [`morph_pipeline::PipelineReport`] simulating the network's
+//! **conv-level dependency DAG** as a streaming pipeline: one stage per
+//! layer, one bounded channel per graph edge
+//! ([`morph_nets::Network::layer_edges`]), with fork/join branches running
+//! as genuinely parallel stages on disjoint cluster subsets — each branch
+//! channel gets a proportional split of [`Backend::pipeline_caps`]'s
+//! staging buffer. The report also carries the linearized-chain baseline
+//! (the pre-DAG schedule) for comparison plus the schedule's
+//! energy-per-frame and peak-power scores. In [`PipelineMode::Rebalanced`]
+//! a greedy pass re-optimizes bottleneck stages (measured across branches)
+//! with a latency objective to flatten the pipeline;
+//! [`PipelineMode::DagRebalanced`] adds the DAG-aware pass (cluster share
+//! shifts between concurrently-live branch stages under a per-group
+//! cluster budget); and [`PipelineMode::Pareto`] sweeps cluster-share
+//! allocations into a [`morph_pipeline::ParetoReport`] frontier over
+//! (throughput, energy/frame, peak power), optionally under a peak-power
+//! cap.
 
 use crate::backend::{Backend, LayerEval, MappingDecision};
 use crate::par;
@@ -142,8 +145,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker-thread count (default: `MORPH_THREADS` or the machine's
-    /// available parallelism; `1` forces sequential evaluation).
+    /// Worker-thread count (default: the machine's available parallelism;
+    /// `1` forces sequential evaluation).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -165,7 +168,9 @@ impl SessionBuilder {
     /// Attach a trace [`Recorder`]. Each [`Session::run`] then records:
     ///
     /// * a **wall-clock** span (nanoseconds since run start) per fresh
-    ///   layer evaluation on track `eval:{backend}/{shape}`;
+    ///   full-chip layer evaluation on track `eval:{backend}/{shape}`, and
+    ///   per planned cluster-budget sweep on track
+    ///   `sweep:{backend}/{shape}/{objective}`;
     /// * per-(backend, network) cache accounting on track
     ///   `session:{backend}/{network}` — a `cache_hits` counter and a
     ///   `fresh_evals` gauge (a gauge because re-runs serve more layers
@@ -270,35 +275,76 @@ impl Session {
 
     /// Evaluate every (backend, network) pair and assemble the report.
     ///
-    /// All pairs execute concurrently: their fresh shapes are deduplicated
-    /// up front (in session order, giving deterministic per-pair cache
-    /// accounting) and decided in one flat parallel pool. The decision
-    /// cache persists across calls, so re-running a session (or running a
-    /// second network with shared shapes) is nearly free.
+    /// Every decision the run reads is planned up front (in session
+    /// order, giving deterministic per-pair cache accounting),
+    /// deduplicated across pairs and decided in one flat parallel pool.
+    /// The decision cache persists across calls, so re-running a session
+    /// (or running a second network with shared shapes) is nearly free.
     pub fn run(&self) -> RunReport {
         let t0 = Instant::now();
         let traced = self.trace.enabled();
         // Phase 1: walk pairs in session order, splitting layers into
         // cache hits and a globally deduplicated work list. This is the
         // same accounting a sequential pair-by-pair run would produce.
-        let mut work: Vec<(usize, ConvShape)> = Vec::new();
+        // `decided` holds the keys the store has or a planned job writes.
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut sweeps: Vec<Job> = Vec::new();
         let mut hits = vec![vec![0u64; self.networks.len()]; self.backends.len()];
         let mut fresh_counts = vec![vec![0u64; self.networks.len()]; self.backends.len()];
         for (bi, backend) in self.backends.iter().enumerate() {
-            let objective = backend.objective();
-            let clusters = backend.arch().clusters;
+            let own = backend.objective();
+            let m = backend.arch().clusters.max(1);
             let mut decided: HashSet<StoreKey> = self.stores[bi].keys().into_iter().collect();
             for (ni, net) in self.networks.iter().enumerate() {
                 for layer in net.conv_layers() {
-                    if decided.insert((layer.shape, objective, clusters)) {
-                        work.push((bi, layer.shape));
+                    if decided.insert((layer.shape, own, m)) {
+                        jobs.push(Job {
+                            backend: bi,
+                            shape: layer.shape,
+                            objective: own,
+                            budgets: vec![m],
+                            sweep: false,
+                        });
                         fresh_counts[bi][ni] += 1;
                     } else {
                         hits[bi][ni] += 1;
                     }
                 }
             }
+            // Then the cluster-budget sweeps the mode's tables read, one
+            // job per (shape, objective), queued behind every full-chip
+            // job. A sweep never holds the own-objective full-chip key:
+            // the cold job above decides it, and two jobs deciding one key
+            // would race (a cold search and a warm-started one record
+            // different stats). It is the highest budget, so leaving it
+            // out moves no warm start.
+            let (objectives, budgets) = self.sweep_columns(backend.as_ref());
+            let columns: Vec<(Objective, Vec<usize>)> = objectives
+                .into_iter()
+                .map(|obj| {
+                    let swept = budgets.iter().copied().filter(|&c| (obj, c) != (own, m));
+                    (obj, swept.collect())
+                })
+                .collect();
+            for layer in self.networks.iter().flat_map(Network::conv_layers) {
+                for (objective, budgets) in &columns {
+                    let mut fresh = false;
+                    for &c in budgets {
+                        fresh |= decided.insert((layer.shape, *objective, c));
+                    }
+                    if fresh {
+                        sweeps.push(Job {
+                            backend: bi,
+                            shape: layer.shape,
+                            objective: *objective,
+                            budgets: budgets.clone(),
+                            sweep: true,
+                        });
+                    }
+                }
+            }
         }
+        jobs.append(&mut sweeps);
         if traced {
             let ts = t0.elapsed().as_nanos() as u64;
             for (bi, backend) in self.backends.iter().enumerate() {
@@ -313,45 +359,36 @@ impl Session {
             }
         }
 
-        // Phase 2: every pair's fresh shapes evaluate in one flat pool —
-        // backend × network concurrency, not just per-layer threads. The
-        // searched backends publish into their store from inside the
-        // evaluation; the session-side insert covers fixed backends (a
-        // no-op for entries the optimizer already wrote). Traced runs get
-        // a wall-clock span per evaluation; work is deduplicated per
-        // (backend, shape), so each span owns its track.
-        let fresh = par::par_map(self.threads, &work, |(bi, sh)| {
+        // Phase 2: every planned job runs in one flat pool — backend ×
+        // network × sweep concurrency, not just per-layer threads — and
+        // publishes into its backend's store. Traced runs get a
+        // wall-clock span per job; jobs are deduplicated, so each span
+        // owns its track.
+        par::par_map(self.threads, &jobs, |job| {
             if !traced {
-                return self.backends[*bi].evaluate_layer(sh);
+                self.decide(job.backend, &job.shape, job.objective, &job.budgets);
+                return;
             }
-            let track = format!(
-                "eval:{}/{}",
-                self.backends[*bi].name(),
-                Optimizer::shape_tag(sh)
-            );
+            let name = self.backends[job.backend].name();
+            let shape = Optimizer::shape_tag(&job.shape);
+            let (track, span) = if job.sweep {
+                let obj = job.objective.label();
+                (format!("sweep:{name}/{shape}/{obj}"), "sweep")
+            } else {
+                (format!("eval:{name}/{shape}"), "evaluate_layer")
+            };
             let begin = t0.elapsed().as_nanos() as u64;
-            let eval = self.backends[*bi].evaluate_layer(sh);
-            self.trace.span(
-                &track,
-                "evaluate_layer",
-                begin,
-                t0.elapsed().as_nanos() as u64,
-            );
-            eval
+            self.decide(job.backend, &job.shape, job.objective, &job.budgets);
+            self.trace
+                .span(&track, span, begin, t0.elapsed().as_nanos() as u64);
         });
-        for ((bi, sh), eval) in work.iter().zip(fresh) {
-            let backend = &self.backends[*bi];
-            self.stores[*bi].insert(
-                (*sh, backend.objective(), backend.arch().clusters),
-                entry_of(&eval),
-            );
-        }
 
         // Phase 3: assemble runs (and pipeline schedules) in session
-        // order. Pairs are independent, so rebalance-mode optimizer
-        // re-searches also fan out over the pool; results stay
-        // deterministic because every evaluation is, whichever pair
-        // publishes a shared decision first.
+        // order. Tables are store lookups; pairs are independent, so the
+        // greedy rebalancer's lazy bottleneck searches and the
+        // simulations fan out over the pool. Results stay deterministic
+        // because every evaluation is, whichever pair publishes a shared
+        // decision first.
         let pairs: Vec<(usize, usize)> = (0..self.backends.len())
             .flat_map(|bi| (0..self.networks.len()).map(move |ni| (bi, ni)))
             .collect();
@@ -365,41 +402,42 @@ impl Session {
         }
     }
 
-    /// Evaluate one backend over one network (the network need not be one
-    /// of the session's own; per-pair accounting is not recorded).
-    pub fn run_network(&self, backend_index: usize, net: &Network) -> NetworkRun {
-        let backend = self.backends[backend_index].as_ref();
-        let objective = backend.objective();
-        let clusters = backend.arch().clusters;
-        let store = &self.stores[backend_index];
-
-        // Partition this network's shapes into cached ones and a deduped
-        // work list: identical layers are decided exactly once.
-        let mut pending: Vec<ConvShape> = Vec::new();
-        {
-            let mut seen: HashSet<ConvShape> = HashSet::default();
-            for layer in net.conv_layers() {
-                let sh = layer.shape;
-                if !store.contains(&(sh, objective, clusters)) && seen.insert(sh) {
-                    pending.push(sh);
-                }
+    /// The cluster-budget sweeps the session's [`PipelineMode`] reads for
+    /// every stage of one backend: one sweep over `budgets` per objective.
+    /// The planner in [`Session::run`], [`Session::reclaim_slack`] and
+    /// [`Session::pareto_sweep`] all read this one declaration.
+    fn sweep_columns(&self, backend: &dyn Backend) -> (Vec<Objective>, Vec<usize>) {
+        let m = backend.arch().clusters.max(1);
+        let own = backend.objective();
+        match self.pipeline {
+            // Sub-chip shares under the backend's own objective; the
+            // full-chip candidate is the greedy schedule's entry.
+            PipelineMode::DagRebalanced if backend.supports_cluster_budget() && m > 1 => {
+                (vec![own], (1..m).collect())
             }
+            PipelineMode::Pareto { .. } => {
+                let mut objectives = vec![own];
+                for obj in [Objective::Energy, Objective::Performance] {
+                    if !objectives.contains(&obj) {
+                        objectives.push(obj);
+                    }
+                }
+                let budgets = if backend.supports_cluster_budget() {
+                    (1..=m).collect()
+                } else {
+                    vec![m]
+                };
+                (objectives, budgets)
+            }
+            _ => (Vec::new(), Vec::new()),
         }
-        let cache_hits = (net.num_conv_layers() - pending.len()) as u64;
-
-        // Decide all fresh shapes in parallel, then publish them.
-        let fresh = par::par_map(self.threads, &pending, |sh| backend.evaluate_layer(sh));
-        for (sh, eval) in pending.iter().zip(fresh) {
-            store.insert((*sh, objective, clusters), entry_of(&eval));
-        }
-        self.assemble(backend_index, net, cache_hits)
     }
 
     /// Build one [`NetworkRun`] from the (fully populated) decision store.
     fn assemble(&self, backend_index: usize, net: &Network, cache_hits: u64) -> NetworkRun {
         let backend = self.backends[backend_index].as_ref();
         let objective = backend.objective();
-        let clusters = backend.arch().clusters;
+        let clusters = backend.arch().clusters.max(1);
         let store = &self.stores[backend_index];
         // Per-run search stats: the store records each distinct decision's
         // stats exactly once, so summing over the run's distinct shapes is
@@ -464,7 +502,8 @@ impl Session {
     ///   treat the anti-chains of the conv DAG as concurrently-live
     ///   groups and shift cluster share between their stages: every stage
     ///   takes the cheapest cluster-budgeted mapping that still meets the
-    ///   bottleneck deadline ([`Backend::evaluate_layer_budgeted`]), and
+    ///   bottleneck deadline (one [`Backend::evaluate_layer_budget_sweep`]
+    ///   per stage, planned in phase 1), and
     ///   fork/join groups are fitted into the chip's cluster budget
     ///   (spending at most the energy the reclamation saved). The adopted
     ///   schedule is simulation-verified to stream at least as fast as
@@ -584,12 +623,14 @@ impl Session {
                     if rebalanced[b] {
                         break; // already latency-optimal and still the bottleneck
                     }
-                    let eval = self.evaluate_budgeted(
-                        backend_index,
-                        &records[b].shape,
-                        Objective::Performance,
-                        m,
-                    );
+                    let eval = self
+                        .decide(
+                            backend_index,
+                            &records[b].shape,
+                            Objective::Performance,
+                            &[m],
+                        )
+                        .remove(0);
                     let better = eval.report.cycles.total.max(1);
                     if better < services[b] {
                         services[b] = better;
@@ -698,16 +739,11 @@ impl Session {
         let greedy_steady = self.sim(&spec_of(services)).steady_cycles_per_frame();
 
         // Per-stage candidates: the current (greedy) schedule entry at
-        // full share, then descending budgets under the backend's own
-        // objective while the deadline holds (budgeted services are
-        // monotone in the share, so the first miss ends the descent).
-        // Sub-chip evaluations come from one warm-started budget sweep
-        // per stage ([`Backend::evaluate_layer_budget_sweep`]). The sweep
-        // evaluates every sub-chip budget — including ones the deadline
-        // filter below discards — trading the old first-miss early exit
-        // for warm-started (much cheaper) searches whose entries persist
-        // in the store for any later sweep or Pareto run of the session.
-        let sub_budgets: Vec<usize> = (1..m).collect();
+        // full share, then descending sub-chip budgets of the mode's
+        // sweep (planned in phase 1, so these are store reads) while the
+        // deadline holds — budgeted services are monotone in the share,
+        // so the first miss ends the descent.
+        let (objectives, sub_budgets) = self.sweep_columns(backend);
         let table: Vec<Vec<balance::AllocCandidate>> = (0..records.len())
             .map(|i| {
                 let mut cands = vec![balance::AllocCandidate {
@@ -715,13 +751,9 @@ impl Session {
                     service_cycles: services[i],
                     energy_pj: energies[i],
                 }];
-                if backend.supports_cluster_budget() && !sub_budgets.is_empty() {
-                    let evals = self.evaluate_budget_sweep(
-                        backend_index,
-                        &records[i].shape,
-                        backend.objective(),
-                        &sub_budgets,
-                    );
+                for &objective in &objectives {
+                    let evals =
+                        self.decide(backend_index, &records[i].shape, objective, &sub_budgets);
                     for (&c, eval) in sub_budgets.iter().zip(&evals).rev() {
                         let s = eval.report.cycles.total.max(1);
                         if s > deadline {
@@ -793,26 +825,16 @@ impl Session {
         let backend = self.backends[backend_index].as_ref();
         let m = backend.arch().clusters.max(1);
         let clock = backend.arch().clock_hz;
-        let budgets: Vec<usize> = if backend.supports_cluster_budget() {
-            (1..=m).collect()
-        } else {
-            vec![m]
-        };
-        let mut objectives = vec![backend.objective()];
-        for obj in [Objective::Energy, Objective::Performance] {
-            if !objectives.contains(&obj) {
-                objectives.push(obj);
-            }
-        }
+        let (objectives, budgets) = self.sweep_columns(backend);
 
         let table: Vec<Vec<balance::AllocCandidate>> = records
             .iter()
             .map(|r| {
                 // One warm-started, monotone budget sweep per objective
-                // covers the stage's whole candidate column.
+                // (planned in phase 1) covers the stage's whole column.
                 let per_obj: Vec<Vec<LayerEval>> = objectives
                     .iter()
-                    .map(|&obj| self.evaluate_budget_sweep(backend_index, &r.shape, obj, &budgets))
+                    .map(|&obj| self.decide(backend_index, &r.shape, obj, &budgets))
                     .collect();
                 let mut cands = Vec::new();
                 for (ci, &c) in budgets.iter().enumerate() {
@@ -912,35 +934,14 @@ impl Session {
         }
     }
 
-    /// Cached layer evaluation under an explicit objective and cluster
-    /// budget (used by the greedy pipeline rebalancer; shares the
-    /// backend's decision store). The budget is clamped to the backend's
-    /// chip.
-    fn evaluate_budgeted(
-        &self,
-        backend_index: usize,
-        shape: &ConvShape,
-        objective: Objective,
-        clusters: usize,
-    ) -> LayerEval {
-        let backend = self.backends[backend_index].as_ref();
-        let clusters = clusters.clamp(1, backend.arch().clusters.max(1));
-        let key = (*shape, objective, clusters);
-        let store = &self.stores[backend_index];
-        if let Some(hit) = store.get(&key) {
-            return eval_of(&hit);
-        }
-        let eval = backend.evaluate_layer_budgeted(shape, objective, clusters);
-        store.insert(key, entry_of(&eval));
-        eval
-    }
-
-    /// Layer evaluations across a set of cluster budgets, via
-    /// [`Backend::evaluate_layer_budget_sweep`] (searched backends walk
-    /// the budgets monotonically and warm-start each from its neighbor's
-    /// decision). Fully store-served when every budget is already
-    /// decided; fresh results are published back into the store.
-    fn evaluate_budget_sweep(
+    /// The session's one evaluation path: decisions for one shape under
+    /// `objective` across cluster `budgets` (clamped to the chip), served
+    /// from the store when every budget is decided, else by one
+    /// [`Backend::evaluate_layer_budget_sweep`] whose results are
+    /// published back. Searched backends have already written their
+    /// entries with search stats ([`DecisionStore::insert`] keeps the
+    /// first write); the session-side insert covers fixed backends.
+    fn decide(
         &self,
         backend_index: usize,
         shape: &ConvShape,
@@ -951,14 +952,12 @@ impl Session {
         let m = backend.arch().clusters.max(1);
         let store = &self.stores[backend_index];
         let clamped: Vec<usize> = budgets.iter().map(|&c| c.clamp(1, m)).collect();
-        if clamped
+        if let Some(hits) = clamped
             .iter()
-            .all(|&c| store.contains(&(*shape, objective, c)))
+            .map(|&c| store.get(&(*shape, objective, c)))
+            .collect::<Option<Vec<_>>>()
         {
-            return clamped
-                .iter()
-                .map(|&c| eval_of(&store.get(&(*shape, objective, c)).unwrap()))
-                .collect();
+            return hits.iter().map(eval_of).collect();
         }
         let evals = backend.evaluate_layer_budget_sweep(shape, objective, &clamped);
         for (&c, eval) in clamped.iter().zip(&evals) {
@@ -968,10 +967,24 @@ impl Session {
     }
 }
 
+/// One planned phase-2 job: a backend's decisions for one shape under one
+/// objective across a set of cluster budgets.
+struct Job {
+    backend: usize,
+    shape: ConvShape,
+    objective: Objective,
+    /// Ascending cluster budgets; `[m]` for a full-chip decision.
+    budgets: Vec<usize>,
+    /// A cluster-budget sweep (traced on `sweep:`) rather than a
+    /// full-chip decision (traced on `eval:`).
+    sweep: bool,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{Eyeriss, Morph, MorphBase};
+    use std::collections::HashMap;
 
     fn repeated_net() -> Network {
         // Three distinct shapes across five layers → two duplicate layers.
@@ -1134,17 +1147,131 @@ mod tests {
     /// Test clusters: a 4-cluster Morph keeps the allocation sweeps quick.
     const TEST_CLUSTERS: usize = 4;
 
-    fn run_mode(mode: PipelineMode) -> RunReport {
-        let arch = morph_dataflow::arch::ArchSpec {
+    fn test_arch() -> morph_dataflow::arch::ArchSpec {
+        morph_dataflow::arch::ArchSpec {
             clusters: TEST_CLUSTERS,
             ..morph_dataflow::arch::ArchSpec::morph()
-        };
+        }
+    }
+
+    fn run_mode(mode: PipelineMode) -> RunReport {
         Session::builder()
-            .backend(Morph::builder().arch(arch).build())
+            .backend(Morph::builder().arch(test_arch()).build())
             .network(branched_net())
             .pipeline(mode)
             .build()
             .run()
+    }
+
+    /// Backend requests counted per (shape, objective, budgets).
+    type Calls = HashMap<(ConvShape, Objective, Vec<usize>), usize>;
+
+    /// A [`TEST_CLUSTERS`]-cluster Morph that counts every
+    /// [`Backend::evaluate_layer_budget_sweep`] request.
+    struct Counting {
+        inner: Morph,
+        calls: Arc<Mutex<Calls>>,
+    }
+
+    impl Backend for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn arch(&self) -> &morph_dataflow::arch::ArchSpec {
+            self.inner.arch()
+        }
+
+        fn objective(&self) -> Objective {
+            self.inner.objective()
+        }
+
+        fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval {
+            self.inner.evaluate_layer(shape)
+        }
+
+        fn supports_cluster_budget(&self) -> bool {
+            self.inner.supports_cluster_budget()
+        }
+
+        fn evaluate_layer_budget_sweep(
+            &self,
+            shape: &ConvShape,
+            objective: Objective,
+            budgets: &[usize],
+        ) -> Vec<LayerEval> {
+            *self
+                .calls
+                .lock()
+                .unwrap()
+                .entry((*shape, objective, budgets.to_vec()))
+                .or_default() += 1;
+            self.inner
+                .evaluate_layer_budget_sweep(shape, objective, budgets)
+        }
+
+        fn decision_store(&self) -> Option<Arc<DecisionStore>> {
+            self.inner.decision_store()
+        }
+    }
+
+    /// Every planned request reaches the backend exactly once, whichever
+    /// pair reads it and however many workers race, and the report does
+    /// not depend on the thread count.
+    #[test]
+    fn planned_decisions_reach_the_backend_once() {
+        // A chain over branched_net's shapes (stem twice), so every sweep
+        // is read by both pairs.
+        let net = branched_net();
+        let shape_of = |name: &str| net.conv_layers().find(|l| l.name == name).unwrap().shape;
+        let mut sibling = Network::new("sibling");
+        sibling
+            .conv("stem", shape_of("stem"))
+            .conv("b0", shape_of("b0"))
+            .conv("stem2", shape_of("stem"))
+            .conv("head", shape_of("head"));
+        sibling.validate().unwrap();
+        let run = |mode, threads| {
+            let calls = Arc::new(Mutex::new(HashMap::new()));
+            let report = Session::builder()
+                .backend(Counting {
+                    inner: Morph::builder().arch(test_arch()).build(),
+                    calls: Arc::clone(&calls),
+                })
+                .network(branched_net())
+                .network(sibling.clone())
+                .pipeline(mode)
+                .threads(threads)
+                .build()
+                .run();
+            let calls = calls.lock().unwrap().clone();
+            (report, calls)
+        };
+
+        let pareto = PipelineMode::Pareto { power_cap_mw: None };
+        let (seq, seq_calls) = run(pareto, 1);
+        let (par, par_calls) = run(pareto, 4);
+        assert_eq!(seq, par);
+        // The plan: one full-chip decision per distinct shape under the
+        // backend's own objective (Energy), its sub-chip sweep, and a
+        // whole-chip Performance sweep.
+        let m = TEST_CLUSTERS;
+        let mut expected = HashMap::new();
+        for layer in net.conv_layers() {
+            for (objective, budgets) in [
+                (Objective::Energy, vec![m]),
+                (Objective::Energy, (1..m).collect()),
+                (Objective::Performance, (1..=m).collect()),
+            ] {
+                expected.insert((layer.shape, objective, budgets), 1);
+            }
+        }
+        assert_eq!(seq_calls, expected);
+        assert_eq!(par_calls, expected);
+
+        let (seq, _) = run(PipelineMode::DagRebalanced, 1);
+        let (par, _) = run(PipelineMode::DagRebalanced, 4);
+        assert_eq!(seq, par);
     }
 
     #[test]
@@ -1336,6 +1463,45 @@ mod tests {
             })
             .unwrap();
         assert_eq!(last_fresh, 0, "second run is fully cached");
+    }
+
+    /// Each planned sweep records one wall-clock span on its own
+    /// `sweep:{backend}/{shape}/{objective}` track; a re-run plans none.
+    #[test]
+    fn planned_sweeps_trace_one_span_each() {
+        use morph_trace::{Phase, TraceBuffer};
+        let buf = Arc::new(TraceBuffer::new());
+        let session = Session::builder()
+            .backend(Morph::builder().arch(test_arch()).build())
+            .network(branched_net())
+            .pipeline(PipelineMode::DagRebalanced)
+            .trace(buf.clone())
+            .build();
+        assert_eq!(session.run(), run_mode(PipelineMode::DagRebalanced));
+        let sweep_spans = || {
+            let mut spans: Vec<(String, Phase)> = buf
+                .events()
+                .into_iter()
+                .filter(|e| e.track.starts_with("sweep:"))
+                .map(|e| (e.track, e.phase))
+                .collect();
+            spans.sort_by(|a, b| a.0.cmp(&b.0));
+            spans
+        };
+        let expected: Vec<(String, Phase)> = {
+            let mut tracks: Vec<String> = branched_net()
+                .conv_layers()
+                .map(|l| format!("sweep:Morph/{}/energy", Optimizer::shape_tag(&l.shape)))
+                .collect();
+            tracks.sort();
+            tracks
+                .into_iter()
+                .flat_map(|t| [(t.clone(), Phase::Begin), (t, Phase::End)])
+                .collect()
+        };
+        assert_eq!(sweep_spans(), expected);
+        session.run();
+        assert_eq!(sweep_spans(), expected, "a re-run reads the store");
     }
 
     #[test]

@@ -70,7 +70,10 @@ fn budgeted_optimizer_map_is_coherent_under_races() {
         let evals = morph_check::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
-                    s.spawn(move || back.evaluate_layer_budgeted(&shape, Objective::Energy, 2))
+                    s.spawn(move || {
+                        back.evaluate_layer_budget_sweep(&shape, Objective::Energy, &[2])
+                            .remove(0)
+                    })
                 })
                 .collect();
             handles

@@ -29,7 +29,7 @@
 //!   clusters draws power at once and the sum is derated accordingly.
 //!
 //! All functions are pure and deterministic — `morph-core`'s session
-//! produces the candidate tables (via `Backend::evaluate_layer_budgeted`)
+//! produces the candidate tables (via `Backend::evaluate_layer_budget_sweep`)
 //! and simulates the chosen services with [`crate::simulate`].
 
 /// One evaluated option for running a stage: a cluster share plus the

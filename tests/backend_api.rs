@@ -205,7 +205,9 @@ fn budgeted_and_unbudgeted_keys_never_collide() {
     let stem = ConvShape::new_3d(16, 16, 4, 8, 16, 3, 3, 3).with_pad(1, 1);
     // Pre-populate the backend's store with a *budgeted* decision for the
     // stem shape under the session's own objective.
-    let half = backend.evaluate_layer_budgeted(&stem, Objective::Energy, 3);
+    let half = backend
+        .evaluate_layer_budget_sweep(&stem, Objective::Energy, &[3])
+        .remove(0);
     assert_eq!(backend.decision_store().unwrap().len(), 1);
 
     let session = Session::builder()
@@ -507,23 +509,24 @@ fn v3_documents_upgrade_on_read() {
     assert_eq!(again, upgraded);
 }
 
-/// `evaluate_layer_for` overrides the backend's built-time objective: a
-/// latency-objective search is at least as fast as the energy-optimal one.
+/// A full-chip, one-element sweep overrides the backend's built-time
+/// objective: a latency-objective search is at least as fast as the
+/// energy-optimal one.
 #[test]
 fn objective_override_reaches_latency_optimal_mappings() {
     let sh = layer();
+    let full_chip = |b: &dyn Backend| {
+        b.evaluate_layer_budget_sweep(&sh, Objective::Performance, &[b.arch().clusters])
+            .remove(0)
+            .report
+    };
     let energy_opt = Morph::new();
     let base = energy_opt.evaluate_layer(&sh).report;
-    let perf = energy_opt
-        .evaluate_layer_for(&sh, Objective::Performance)
-        .report;
+    let perf = full_chip(&energy_opt);
     assert!(perf.cycles.total <= base.cycles.total);
     // Fixed-dataflow backends ignore the override.
     let ey = Eyeriss::new();
-    assert_eq!(
-        ey.evaluate_layer_for(&sh, Objective::Performance).report,
-        ey.evaluate_layer(&sh).report
-    );
+    assert_eq!(full_chip(&ey), ey.evaluate_layer(&sh).report);
 }
 
 trait CloneNamed {
