@@ -17,16 +17,56 @@
 //!   `MORPH_EFFORT=thorough`, where the ratio is far larger but the
 //!   exhaustive reference is very slow).
 //!
+//! A third invariant covers budget sweeps, whose searches share one
+//! `SweepState`: on Two_Stream, for Morph and Morph_base under every
+//! objective, a sweep over budgets `1..=6` returns for every budget the
+//! decision of that budget's exhaustive search (which always starts from
+//! an empty state).
+//!
 //! The per-run `SearchStats` ride in the emitted schema-v5 `RunReport`
 //! (`search` field), which `run_all` merges into `bench.json`.
 
 use morph_bench::{emit_report, print_table};
 use morph_core::{
-    ArchSpec, Effort, EnergyModel, Morph, Objective, Optimizer, RunReport, SearchStats, Session,
+    ArchSpec, Backend, Effort, EnergyModel, Morph, MorphBase, Objective, Optimizer, RunReport,
+    SearchStats, Session,
 };
 use morph_nets::zoo;
+use morph_tensor::shape::ConvShape;
 use std::collections::HashSet;
 use std::time::Instant;
+
+/// Assert that `backend`'s budget sweeps over the whole chip return,
+/// budget by budget, the exhaustive decision of `reference`'s optimizer
+/// for that budget; returns the number of budget decisions checked.
+fn check_sweeps(
+    backend: &dyn Backend,
+    shapes: &[ConvShape],
+    objective: Objective,
+    reference: impl Fn(ArchSpec) -> Optimizer,
+) -> usize {
+    let arch = *backend.arch();
+    let budgets: Vec<usize> = (1..=arch.clusters).collect();
+    let references: Vec<Optimizer> = budgets
+        .iter()
+        .map(|&clusters| reference(ArchSpec { clusters, ..arch }))
+        .collect();
+    for sh in shapes {
+        let swept = backend.evaluate_layer_budget_sweep(sh, objective, &budgets);
+        for ((c, eval), opt) in budgets.iter().zip(&swept).zip(&references) {
+            let (want, _) = opt.search_layer_exhaustive(sh, objective);
+            let got = eval
+                .decision
+                .as_ref()
+                .expect("searched backends record mappings");
+            let at = format!("{} {sh:?} {objective:?} c{c}", backend.name());
+            assert_eq!(got.config, want.config, "{at}: config diverged");
+            assert_eq!(got.par, want.par, "{at}: parallelism diverged");
+            assert_eq!(eval.report, want.report, "{at}: report diverged");
+        }
+    }
+    shapes.len() * budgets.len()
+}
 
 fn main() {
     let effort = morph_bench::effort_from_env();
@@ -168,6 +208,33 @@ fn main() {
         grand_exhaustive.costed,
         grand_exhaustive.costed as f64 / grand_pruned.costed.max(1) as f64,
         100.0 * grand_pruned.prune_fraction(),
+    );
+    // Budget sweeps vs per-budget exhaustive searches on Two_Stream.
+    let mut shapes = Vec::new();
+    for layer in zoo::by_name("Two_Stream")
+        .expect("zoo network")
+        .conv_layers()
+    {
+        if !shapes.contains(&layer.shape) {
+            shapes.push(layer.shape);
+        }
+    }
+    let mut swept = 0;
+    for objective in objectives {
+        swept += check_sweeps(
+            &Morph::builder().effort(effort).build(),
+            &shapes,
+            objective,
+            |arch| Optimizer::morph(EnergyModel::morph(arch), effort),
+        );
+        swept += check_sweeps(&MorphBase::new(), &shapes, objective, |arch| {
+            Optimizer::morph_base(EnergyModel::morph_base(arch))
+        });
+    }
+    println!(
+        "\nSwept searches: {swept} budget decisions (Two_Stream x {{Morph, Morph_base}} x 3 \
+         objectives x budgets 1..=6, each sweep sharing one SweepState) equal the exhaustive \
+         reference's, asserted decision by decision."
     );
     let merged = RunReport::merged(reports).expect("uniform schema");
     emit_report("search", &merged);

@@ -13,7 +13,7 @@ use morph_dataflow::arch::ArchSpec;
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::Parallelism;
 use morph_energy::{EnergyModel, EnergyReport, TechNode};
-use morph_optimizer::{DecisionStore, Effort, LayerDecision, Objective, Optimizer};
+use morph_optimizer::{DecisionStore, Effort, LayerDecision, Objective, Optimizer, SweepState};
 use morph_pipeline::PipelineCaps;
 use morph_tensor::order::LoopOrder;
 use morph_tensor::shape::ConvShape;
@@ -76,13 +76,16 @@ pub trait Backend: Send + Sync {
     /// makes; a single decision is a one-element sweep. A budget of `c`
     /// runs the mapping search on the same architecture with only `c`
     /// compute clusters (the shared L2 stays whole — branch stages split
-    /// compute, not the last-level buffer); budgets are clamped to the
-    /// chip. Searched backends walk the budgets ascending and
+    /// compute, not the last-level buffer). Budgets are clamped to
+    /// `1..=clusters`: 0 means one cluster, anything past the chip means
+    /// the whole chip. Searched backends walk the budgets ascending and
     /// **warm-start** each budget's branch-and-bound search with the
-    /// neighboring budget's best decision, so a sweep over the whole chip
-    /// costs little more than one cold search. Results come back in the
-    /// order of `budgets`. The default maps [`Backend::evaluate_layer`]
-    /// over them: fixed-dataflow backends ignore objective and budget.
+    /// neighboring budget's best decision, sharing one
+    /// [`SweepState`] across the walk so each row's hierarchy allocation
+    /// is paid once per sweep, so a sweep over the whole chip costs little
+    /// more than one cold search. Results come back in the order of
+    /// `budgets`. The default maps [`Backend::evaluate_layer`] over them:
+    /// fixed-dataflow backends ignore objective and budget.
     fn evaluate_layer_budget_sweep(
         &self,
         shape: &ConvShape,
@@ -141,15 +144,23 @@ fn budgeted_optimizer(
     }))
 }
 
+/// A cluster budget clamped to the chip: `1..=arch.clusters` (see
+/// [`Backend::evaluate_layer_budget_sweep`]).
+pub(crate) fn clamp_budget(arch: &ArchSpec, budget: usize) -> usize {
+    budget.clamp(1, arch.clusters.max(1))
+}
+
 /// Shared budget-sweep path of the searched backends: clamp the requested
-/// budgets to the chip, walk the distinct budgets **ascending**, and
-/// warm-start each budget's branch-and-bound search with the neighboring
-/// (next-smaller) budget's decision — adjacent budgets pick similar
-/// mappings, so the seed points the search at a near-optimal candidate
-/// group immediately. (The seed is an ordering hint only — see
-/// [`Optimizer::search_layer_seeded`] — so either walk direction would be
-/// correct; ascending keeps each seed one step from its consumer.)
-/// Results come back in the caller's requested order.
+/// budgets to the chip, walk the distinct budgets **ascending** through
+/// one [`SweepState`], and warm-start each budget's branch-and-bound
+/// search with the neighboring (next-smaller) budget's decision — adjacent
+/// budgets pick similar mappings, so the seed points the search at a
+/// near-optimal candidate group immediately. (The seed is an ordering hint
+/// only — see [`Optimizer::search_layer_in`] — so either walk direction
+/// would be correct; ascending keeps each seed one step from its
+/// consumer.) The state also carries each row's hierarchy allocation from
+/// budget to budget, and is dropped when the sweep returns. Results come
+/// back in the caller's requested order.
 #[allow(clippy::too_many_arguments)]
 fn sweep_budgeted(
     full: &Optimizer,
@@ -161,30 +172,24 @@ fn sweep_budgeted(
     objective: Objective,
     budgets: &[usize],
 ) -> Vec<LayerEval> {
-    let m = arch.clusters.max(1);
-    let clamp = |c: usize| if c == 0 || c >= m { m } else { c };
-    let mut walk: Vec<usize> = budgets.iter().map(|&c| clamp(c)).collect();
+    let mut walk: Vec<usize> = budgets.iter().map(|&c| clamp_budget(&arch, c)).collect();
     walk.sort_unstable();
     walk.dedup();
 
     let mut decided: HashMap<usize, LayerDecision> = HashMap::new();
-    let mut seed: Option<LayerDecision> = None;
+    let mut state = SweepState::default();
     for &c in &walk {
-        let d = if c >= m {
-            full.search_layer_seeded(shape, objective, seed.as_ref())
+        let d = if c >= arch.clusters {
+            full.search_layer_in(shape, objective, &mut state)
         } else {
-            budgeted_optimizer(budgeted, arch, c, store, &build).search_layer_seeded(
-                shape,
-                objective,
-                seed.as_ref(),
-            )
+            budgeted_optimizer(budgeted, arch, c, store, &build)
+                .search_layer_in(shape, objective, &mut state)
         };
-        decided.insert(c, d.clone());
-        seed = Some(d);
+        decided.insert(c, d);
     }
     budgets
         .iter()
-        .map(|&c| eval_of(&decided[&clamp(c)]))
+        .map(|&c| eval_of(&decided[&clamp_budget(&arch, c)]))
         .collect()
 }
 
@@ -866,6 +871,21 @@ mod tests {
         let evals = ey.evaluate_layer_budget_sweep(&sh, Objective::Energy, &[1, 2]);
         let point = ey.evaluate_layer(&sh).report;
         assert!(evals.iter().all(|e| e.report == point));
+    }
+
+    /// A budget of 0 clamps to one cluster on the searched backends, the
+    /// rule the session applies before it asks them.
+    #[test]
+    fn zero_budget_means_one_cluster() {
+        let sh = layer();
+        let backends: [Box<dyn Backend>; 2] = [Box::new(Morph::new()), Box::new(MorphBase::new())];
+        for b in &backends {
+            for objective in [Objective::Energy, Objective::Performance] {
+                let zero = b.evaluate_layer_budget_sweep(&sh, objective, &[0]);
+                let one = b.evaluate_layer_budget_sweep(&sh, objective, &[1]);
+                assert_eq!(zero, one, "{} {objective:?}", b.name());
+            }
+        }
     }
 
     #[test]

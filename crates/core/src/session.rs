@@ -41,7 +41,7 @@
 //! (throughput, energy/frame, peak power), optionally under a peak-power
 //! cap.
 
-use crate::backend::{Backend, LayerEval, MappingDecision};
+use crate::backend::{clamp_budget, Backend, LayerEval, MappingDecision};
 use crate::par;
 use crate::report::{LayerRecord, NetworkRun, RunReport, SCHEMA_VERSION};
 use morph_nets::Network;
@@ -949,9 +949,11 @@ impl Session {
         budgets: &[usize],
     ) -> Vec<LayerEval> {
         let backend = self.backends[backend_index].as_ref();
-        let m = backend.arch().clusters.max(1);
         let store = &self.stores[backend_index];
-        let clamped: Vec<usize> = budgets.iter().map(|&c| c.clamp(1, m)).collect();
+        let clamped: Vec<usize> = budgets
+            .iter()
+            .map(|&c| clamp_budget(backend.arch(), c))
+            .collect();
         if let Some(hits) = clamped
             .iter()
             .map(|&c| store.get(&(*shape, objective, c)))

@@ -150,21 +150,9 @@ impl DimPieces {
         }
     }
 
-    /// Piece count after nesting levels `0..=j`; `count_at(-1)` (i.e.
-    /// `j == usize::MAX`) is treated as 1 by [`Self::trips_at`].
+    /// Piece count after nesting levels `0..=level`.
     pub fn count_at(&self, level: usize) -> usize {
         self.counts[level]
-    }
-
-    /// Whether the loop of this dimension at `level` has more than one
-    /// trip anywhere in the iteration space.
-    pub fn trips_at(&self, level: usize) -> usize {
-        let parent = if level == 0 {
-            1
-        } else {
-            self.counts[level - 1]
-        };
-        self.counts[level].div_ceil(parent)
     }
 
     /// True if the final piece at `idx` starts a new run of the loop at
@@ -211,11 +199,6 @@ impl DimPieces {
         }
         total
     }
-
-    /// Σ over final pieces of output sizes — always the full extent.
-    pub fn output_sum(&self) -> u64 {
-        self.pieces.iter().map(|p| p.size as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +220,7 @@ mod tests {
         assert_eq!(d.counts, vec![3, 5]);
         let sizes: Vec<_> = d.pieces.iter().map(|p| p.size).collect();
         assert_eq!(sizes, vec![3, 1, 3, 1, 2]);
-        assert_eq!(d.output_sum(), 10);
+        assert_eq!(sizes.iter().sum::<usize>(), 10);
     }
 
     #[test]
@@ -318,13 +301,5 @@ mod tests {
     fn nominal_extent_is_worst_case() {
         let spec = DimSpec::window(8, 2, 3, 1, 16);
         assert_eq!(spec.nominal_in_extent(4), 9); // 3·2 + 3
-    }
-
-    #[test]
-    fn trips_at_levels() {
-        let d = DimPieces::build(12, &[6, 2, 2]);
-        assert_eq!(d.trips_at(0), 2);
-        assert_eq!(d.trips_at(1), 3);
-        assert_eq!(d.trips_at(2), 1); // L0 tile == L1 tile
     }
 }

@@ -19,7 +19,7 @@
 //!   pass writes requantized outputs at activation width.
 
 use crate::config::TilingConfig;
-use crate::pieces::{DimPieces, DimSpec};
+use crate::pieces::{DimPieces, DimSpec, Piece};
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::{ConvShape, ACT_BYTES, WGT_BYTES};
 
@@ -143,81 +143,135 @@ impl DimView for Exact {
     }
 }
 
-/// Most tiling levels a [`DimSummary`] records (a full Morph hierarchy:
-/// `[L2, L1, L0, REG]`).
-pub const SUMMARY_LEVELS: usize = 4;
-
-/// Fixed-size digest of one dimension's tile chain: everything the
-/// traffic engine reads of its [`DimPieces`] at the chain's deepest
-/// boundary. Candidates that share a dimension's chain share its summary,
-/// so the piece lists are walked once per chain instead of once per
-/// candidate; [`summary_traffic`] scores a boundary from five of them.
-#[derive(Debug, Clone, Copy)]
+/// Digest of one dimension's tile chain at every depth: everything the
+/// traffic engine reads of its [`DimPieces`] at each boundary the chain
+/// reaches, taken in one walk down the chain. Candidates that share a
+/// dimension's chain share its summary, so the piece lists are walked once
+/// per chain instead of once per candidate and boundary;
+/// [`summary_traffic`] scores a boundary from five of them.
+#[derive(Debug, Clone)]
 pub struct DimSummary {
-    levels: usize,
-    counts: [usize; SUMMARY_LEVELS],
-    full: u64,
-    slide: [u64; SUMMARY_LEVELS],
+    /// Piece count after nesting levels `0..=j`.
+    counts: Vec<usize>,
+    /// Per depth `j`: Σ clipped input extents of its pieces.
+    full: Vec<u64>,
+    /// Per depth `j`, from index `j·(j+1)/2`: the slide sums within runs
+    /// of the loop at each level `0..=j`.
+    slide: Vec<u64>,
 }
 
 impl DimSummary {
     /// Summarize dimension `d` sliced by `tiles` (outermost first, as in
-    /// [`DimPieces::build`]). Input sums are taken only where the traffic
+    /// [`DimPieces::build`]), level by level in one walk: after nesting
+    /// levels `0..=j`, the piece count and the input sums the traffic
+    /// engine reads of those pieces. Input sums are taken only where the
     /// engine reads them: the full sum for input-relevant dimensions, the
     /// slide sums for the sliding windows `W`, `H`, `F`; the rest read 0.
     ///
     /// # Panics
     ///
-    /// Panics if `tiles` is empty or longer than [`SUMMARY_LEVELS`], or on
-    /// the inputs [`DimPieces::build`] rejects.
+    /// Panics on the inputs [`DimPieces::build`] rejects.
     pub fn new(d: Dim, spec: &DimSpec, tiles: &[usize]) -> Self {
-        let levels = tiles.len();
-        assert!(
-            (1..=SUMMARY_LEVELS).contains(&levels),
-            "a summary covers 1..={SUMMARY_LEVELS} levels, not {levels}"
-        );
-        let pieces = DimPieces::build(spec.out_extent, tiles);
+        assert!(spec.out_extent >= 1, "dimension extent must be >= 1");
+        assert!(tiles.iter().all(|&t| t >= 1), "tile extents must be >= 1");
+        let n = tiles.len();
         let mut out = Self {
-            levels,
-            counts: [0; SUMMARY_LEVELS],
-            full: 0,
-            slide: [0; SUMMARY_LEVELS],
+            counts: Vec::with_capacity(n),
+            full: Vec::with_capacity(n),
+            slide: Vec::with_capacity(n * (n + 1) / 2),
         };
-        out.counts[..levels].copy_from_slice(&pieces.counts);
-        if d.input_relevant() {
-            out.full = pieces.input_sum_full(spec);
-        }
-        if slides(d) {
-            for (level, sum) in out.slide[..levels].iter_mut().enumerate() {
-                *sum = pieces.input_sum_slide(spec, level);
+        let want_full = d.input_relevant();
+        let want_slide = slides(d);
+        let mut parents = vec![Piece {
+            offset: 0,
+            size: spec.out_extent,
+        }];
+        let mut pieces = Vec::new();
+        for (j, &tile) in tiles.iter().enumerate() {
+            let deepest = j + 1 == n;
+            let base = out.slide.len();
+            out.slide.resize(base + j + 1, 0);
+            let slide = &mut out.slide[base..];
+            let (mut count, mut full, mut prev_end) = (0usize, 0u64, 0i64);
+            pieces.clear();
+            for p in &parents {
+                let t = tile.min(p.size);
+                if deepest && !want_full {
+                    count += p.size.div_ceil(t);
+                    continue;
+                }
+                let end = p.offset + p.size;
+                let mut off = p.offset;
+                while off < end {
+                    let size = t.min(end - off);
+                    if want_full {
+                        let (start, stop) = spec.in_span(off, size);
+                        let whole = (stop - start).max(0) as u64;
+                        full += whole;
+                        if want_slide {
+                            // Run starts as in `DimPieces::is_run_start`:
+                            // the first piece at run level 0, multiples of
+                            // the parent level's tile below it.
+                            let fresh = (stop - start.max(prev_end)).max(0) as u64;
+                            slide[0] += if count == 0 { whole } else { fresh };
+                            for (sum, &parent_tile) in slide[1..].iter_mut().zip(tiles) {
+                                *sum += if off.is_multiple_of(parent_tile) {
+                                    whole
+                                } else {
+                                    fresh
+                                };
+                            }
+                        }
+                        prev_end = stop;
+                    }
+                    count += 1;
+                    if !deepest {
+                        pieces.push(Piece { offset: off, size });
+                    }
+                    off += size;
+                }
             }
+            out.counts.push(count);
+            out.full.push(full);
+            std::mem::swap(&mut parents, &mut pieces);
         }
         out
     }
 
     /// Piece count after nesting levels `0..=level` ([`DimPieces::count_at`]).
     pub fn count_at(&self, level: usize) -> usize {
-        self.counts[..self.levels][level]
+        self.counts[level]
     }
 
-    /// [`DimPieces::input_sum_full`] (0 for `K`).
-    pub fn input_sum_full(&self) -> u64 {
-        self.full
+    /// [`DimPieces::input_sum_full`] of the pieces after nesting levels
+    /// `0..=depth` (0 for `K`).
+    pub fn input_sum_full(&self, depth: usize) -> u64 {
+        self.full[depth]
     }
 
-    /// [`DimPieces::input_sum_slide`] at `run_level` (0 for `C` and `K`).
-    pub fn input_sum_slide(&self, run_level: usize) -> u64 {
-        self.slide[..self.levels][run_level]
+    /// [`DimPieces::input_sum_slide`] at `run_level` of the pieces after
+    /// nesting levels `0..=depth` (0 for `C` and `K`).
+    pub fn input_sum_slide(&self, depth: usize, run_level: usize) -> u64 {
+        self.slide[depth * (depth + 1) / 2..][..=depth][run_level]
     }
 }
 
-impl DimView for DimSummary {
+/// A [`DimSummary`] read at one depth: the view of one boundary.
+struct AtDepth<'a> {
+    summary: &'a DimSummary,
+    depth: usize,
+}
+
+impl DimView for AtDepth<'_> {
     fn count_at(&self, level: usize) -> usize {
-        DimSummary::count_at(self, level)
+        self.summary.counts[..=self.depth][level]
     }
 
     fn input_sum(&self, slide: Option<usize>) -> u64 {
-        slide.map_or(self.full, |level| self.input_sum_slide(level))
+        match slide {
+            Some(level) => self.summary.input_sum_slide(self.depth, level),
+            None => self.summary.input_sum_full(self.depth),
+        }
     }
 }
 
@@ -248,10 +302,20 @@ pub fn apply_multicast(traffic: &mut LayerTraffic, hp: usize, wp: usize, fp: usi
 /// The configuration should be geometrically valid (see
 /// [`TilingConfig::validate`]); call [`TilingConfig::normalize`] first for
 /// arbitrary candidates.
+///
+/// Each dimension's tile chain is summarized once, at every depth, and
+/// every boundary is scored from the five summaries ([`summary_traffic`]).
 pub fn layer_traffic(shape: &ConvShape, cfg: &TilingConfig) -> LayerTraffic {
+    let mut tiles = Vec::with_capacity(cfg.levels.len());
+    let dims = Dim::ALL.map(|d| {
+        tiles.clear();
+        tiles.extend(cfg.levels.iter().map(|l| l.tile.extent(d)));
+        DimSummary::new(d, &DimSpec::of(shape, d), &tiles)
+    });
+    let orders: Vec<LoopOrder> = cfg.levels.iter().map(|l| l.order).collect();
     LayerTraffic {
-        boundaries: (0..cfg.levels.len())
-            .map(|b| boundary_traffic(shape, cfg, b))
+        boundaries: (1..=orders.len())
+            .map(|n| summary_traffic(shape, &orders[..n], dims.each_ref()))
             .collect(),
         maccs: shape.maccs(),
         outputs: shape.output_elems(),
@@ -259,7 +323,9 @@ pub fn layer_traffic(shape: &ConvShape, cfg: &TilingConfig) -> LayerTraffic {
 }
 
 /// The traffic of one boundary of [`layer_traffic`]: into level `b` of
-/// `cfg` (`b == 0` is DRAM→L2). Only levels `0..=b` are read.
+/// `cfg` (`b == 0` is DRAM→L2). Only levels `0..=b` are read; each
+/// dimension's pieces are rebuilt from [`DimPieces`], so this is also the
+/// reference the faster paths are checked against.
 pub fn boundary_traffic(shape: &ConvShape, cfg: &TilingConfig, b: usize) -> BoundaryTraffic {
     let levels = &cfg.levels[..=b];
     let mut tiles = Vec::with_capacity(levels.len());
@@ -278,13 +344,22 @@ pub fn boundary_traffic(shape: &ConvShape, cfg: &TilingConfig, b: usize) -> Boun
 
 /// [`boundary_traffic`] from per-dimension summaries: the boundary into the
 /// deepest of `orders.len()` levels, each level's loops in its order, with
-/// `dims` in [`Dim::ALL`] order summarizing tile chains of that depth.
+/// `dims` in [`Dim::ALL`] order summarizing tile chains at least that deep.
+///
+/// # Panics
+///
+/// Panics if `orders` is empty or longer than a summarized chain.
 pub fn summary_traffic(
     shape: &ConvShape,
     orders: &[LoopOrder],
-    dims: &[DimSummary; 5],
+    dims: [&DimSummary; 5],
 ) -> BoundaryTraffic {
-    nest_traffic(shape, orders, dims)
+    let depth = orders.len().checked_sub(1).expect("at least one level");
+    nest_traffic(
+        shape,
+        orders,
+        &dims.map(|summary| AtDepth { summary, depth }),
+    )
 }
 
 /// The transfer rules on the concatenated nest of `orders.len()` levels

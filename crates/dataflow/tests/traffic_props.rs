@@ -2,7 +2,7 @@
 //! pseudo-random shapes and configurations.
 
 use morph_dataflow::prelude::*;
-use morph_dataflow::traffic::{summary_traffic, DimSummary, SUMMARY_LEVELS};
+use morph_dataflow::traffic::{summary_traffic, DimSummary};
 use morph_tensor::prelude::*;
 use morph_tensor::rng::XorShift as Rng;
 
@@ -210,21 +210,26 @@ fn arb_extent(rng: &mut Rng, extent: usize) -> usize {
 /// Unnormalized configurations of 1 to 4 levels whose tiles may exceed
 /// the layer and their parents, beside the normalized `arb_config` ones.
 fn arb_raw_config(rng: &mut Rng, shape: &ConvShape) -> TilingConfig {
-    let whole = Tile::whole(shape);
-    let orders = LoopOrder::all();
     let levels = (0..rng.range(1, 5))
-        .map(|_| LevelConfig {
-            order: orders[rng.range(0, orders.len())],
-            tile: Tile {
-                h: arb_extent(rng, whole.h),
-                w: arb_extent(rng, whole.w),
-                f: arb_extent(rng, whole.f),
-                c: arb_extent(rng, whole.c),
-                k: arb_extent(rng, whole.k),
-            },
-        })
+        .map(|_| arb_level(rng, shape))
         .collect();
     TilingConfig { levels }
+}
+
+/// One level in any order whose tile may exceed the layer.
+fn arb_level(rng: &mut Rng, shape: &ConvShape) -> LevelConfig {
+    let whole = Tile::whole(shape);
+    let orders = LoopOrder::all();
+    LevelConfig {
+        order: orders[rng.range(0, orders.len())],
+        tile: Tile {
+            h: arb_extent(rng, whole.h),
+            w: arb_extent(rng, whole.w),
+            f: arb_extent(rng, whole.f),
+            c: arb_extent(rng, whole.c),
+            k: arb_extent(rng, whole.k),
+        },
+    }
 }
 
 fn arb_any_config(rng: &mut Rng, shape: &ConvShape) -> TilingConfig {
@@ -343,8 +348,9 @@ fn tabulated_argmin_matches_min_by_key() {
     assert_eq!(best_parallelism(&shape, &cfg, &[], &arch), None);
 }
 
-/// A summary reads exactly what the piece list computes: counts at every
-/// level, and the input sums the traffic engine takes of its dimension.
+/// A summary reads exactly what the piece lists compute at every depth of
+/// its chain: the count after each level, and the input sums the traffic
+/// engine takes of its dimension.
 #[test]
 fn summaries_match_piece_lists() {
     let mut rng = Rng::new(0x5E4A);
@@ -352,48 +358,65 @@ fn summaries_match_piece_lists() {
         let shape = arb_shape(&mut rng);
         for d in Dim::ALL {
             let spec = DimSpec::of(&shape, d);
-            let depth = rng.range(1, SUMMARY_LEVELS + 1);
-            let tiles: Vec<usize> = (0..depth)
+            let levels = rng.range(1, 7);
+            let tiles: Vec<usize> = (0..levels)
                 .map(|_| arb_extent(&mut rng, spec.out_extent))
                 .collect();
-            let pieces = DimPieces::build(spec.out_extent, &tiles);
             let summary = DimSummary::new(d, &spec, &tiles);
-            for level in 0..depth {
-                assert_eq!(summary.count_at(level), pieces.count_at(level));
-                let slide = if d == Dim::C || d == Dim::K {
+            for depth in 0..levels {
+                let pieces = DimPieces::build(spec.out_extent, &tiles[..=depth]);
+                assert_eq!(summary.count_at(depth), pieces.count_at(depth));
+                for level in 0..=depth {
+                    let slide = if d == Dim::C || d == Dim::K {
+                        0
+                    } else {
+                        pieces.input_sum_slide(&spec, level)
+                    };
+                    let got = summary.input_sum_slide(depth, level);
+                    assert_eq!(got, slide, "{d:?} {tiles:?} depth {depth}");
+                }
+                let full = if d == Dim::K {
                     0
                 } else {
-                    pieces.input_sum_slide(&spec, level)
+                    pieces.input_sum_full(&spec)
                 };
-                assert_eq!(summary.input_sum_slide(level), slide, "{d:?} {tiles:?}");
+                let got = summary.input_sum_full(depth);
+                assert_eq!(got, full, "{d:?} {tiles:?} depth {depth}");
             }
-            let full = if d == Dim::K {
-                0
-            } else {
-                pieces.input_sum_full(&spec)
-            };
-            assert_eq!(summary.input_sum_full(), full, "{d:?} {tiles:?}");
         }
     }
 }
 
-/// Every boundary scores the same through `layer_traffic`,
-/// `boundary_traffic` and five chain summaries.
+/// Every boundary scores the same through `layer_traffic` (each
+/// dimension summarized once, every boundary from those summaries),
+/// `boundary_traffic` (piece lists rebuilt per boundary, the reference)
+/// and five summaries of the chain down to that boundary, on
+/// configurations of one to six levels.
 #[test]
 fn boundary_paths_agree() {
     let mut rng = Rng::new(0xB0DA);
-    for _ in 0..128 {
+    for _ in 0..256 {
         let shape = arb_shape(&mut rng);
-        let cfg = arb_any_config(&mut rng, &shape);
+        let mut cfg = arb_any_config(&mut rng, &shape);
+        for _ in 0..rng.range(0, 3) {
+            cfg.levels.push(arb_level(&mut rng, &shape));
+        }
         let whole = layer_traffic(&shape, &cfg);
+        assert_eq!(whole.boundaries.len(), cfg.levels.len());
+        assert_eq!(whole.maccs, shape.maccs());
+        assert_eq!(whole.outputs, shape.output_elems());
         let orders: Vec<LoopOrder> = cfg.levels.iter().map(|l| l.order).collect();
-        for (b, want) in whole.boundaries.iter().enumerate() {
-            assert_eq!(boundary_traffic(&shape, &cfg, b), *want);
+        for (b, got) in whole.boundaries.iter().enumerate() {
+            let want = boundary_traffic(&shape, &cfg, b);
+            assert_eq!(*got, want, "{shape:?} {cfg:?} boundary {b}");
             let dims = Dim::ALL.map(|d| {
                 let tiles: Vec<usize> = cfg.levels[..=b].iter().map(|l| l.tile.extent(d)).collect();
                 DimSummary::new(d, &DimSpec::of(&shape, d), &tiles)
             });
-            assert_eq!(summary_traffic(&shape, &orders[..=b], &dims), *want);
+            assert_eq!(
+                summary_traffic(&shape, &orders[..=b], dims.each_ref()),
+                want
+            );
         }
     }
 }

@@ -107,15 +107,93 @@ fn corner_candidates(parent: &Tile) -> Vec<Tile> {
     out
 }
 
+/// The order-free half of one level's allocation (§V-C): the corners of
+/// the innermost parent tile that fit the level, and each dimension's
+/// chain summaries. Nothing here reads a loop order, so one set serves
+/// every order [`CornerSet::pick`] is asked about.
+///
+/// The corners are a product of at most three extents per dimension, so
+/// each dimension's tile chain (the parents' extents plus one corner
+/// extent) is summarized once and every corner's fill traffic is scored
+/// from five summaries.
+pub struct CornerSet {
+    /// Levels in a chain: the parents plus this level.
+    depth: usize,
+    /// Fitting corners in enumeration order: the tile, its size, and the
+    /// index of each dimension's chain in `chains`.
+    fitting: Vec<(Tile, u64, [usize; 5])>,
+    /// Per dimension: (corner extent, summary of its chain), one entry per
+    /// distinct extent among the fitting corners.
+    chains: [Vec<(usize, DimSummary)>; 5],
+}
+
+impl CornerSet {
+    /// The corners for `level` below the parent tiles `upper` (outermost
+    /// first; an empty chain stands for the whole layer).
+    pub fn new(
+        shape: &ConvShape,
+        upper: &[Tile],
+        level: OnChipLevel,
+        arch: &ArchSpec,
+        policy: FitPolicy,
+    ) -> Self {
+        let parent = upper.last().copied().unwrap_or_else(|| Tile::whole(shape));
+        let mut chains: [Vec<(usize, DimSummary)>; 5] = Default::default();
+        let mut fitting = Vec::new();
+        for cand in corner_candidates(&parent) {
+            if !tile_fits(shape, &cand, level, arch, policy) {
+                continue;
+            }
+            let index = Dim::ALL.map(|d| {
+                let e = cand.extent(d);
+                let chain = &mut chains[d as usize];
+                chain.iter().position(|&(x, _)| x == e).unwrap_or_else(|| {
+                    let tiles: Vec<usize> = upper.iter().map(|t| t.extent(d)).chain([e]).collect();
+                    chain.push((e, DimSummary::new(d, &DimSpec::of(shape, d), &tiles)));
+                    chain.len() - 1
+                })
+            });
+            let size = (cand.h * cand.w * cand.f * cand.c * cand.k) as u64;
+            fitting.push((cand, size, index));
+        }
+        Self {
+            depth: upper.len() + 1,
+            fitting,
+            chains,
+        }
+    }
+
+    /// The fitting corner with the best `f_reuse` when the chain's levels
+    /// run in `orders` (one per level, this level's last), larger tiles
+    /// winning ties (fewer iterations, less control). `None` when no
+    /// corner fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `orders` has one order per level of the chain.
+    pub fn pick(&self, shape: &ConvShape, orders: &[LoopOrder]) -> Option<Tile> {
+        assert_eq!(orders.len(), self.depth, "one loop order per level");
+        let mut best: Option<(f64, u64, Tile)> = None;
+        for &(cand, size, index) in &self.fitting {
+            let dims = Dim::ALL.map(|d| &self.chains[d as usize][index[d as usize]].1);
+            let score = reuse_score(shape, &summary_traffic(shape, orders, dims));
+            let better = match &best {
+                None => true,
+                Some((s, sz, _)) => score > *s || (score == *s && size > *sz),
+            };
+            if better {
+                best = Some((score, size, cand));
+            }
+        }
+        best.map(|(_, _, t)| t)
+    }
+}
+
 /// Choose the sub-tile for the next level down (§V-C), given the levels
-/// configured so far. Returns `None` when not even the minimum tile fits
+/// configured so far: the [`CornerSet`] below them, picked under their
+/// orders and `order`. Returns `None` when not even the minimum tile fits
 /// (cannot happen for the evaluated architectures: the minimum tile is
 /// `R·S·Ct·T` input bytes plus one output column).
-///
-/// Every corner is scored by `f_reuse`. The corners are a product of at
-/// most three extents per dimension, so each dimension's tile chain
-/// (the upper levels' extents plus one corner extent) is summarized once
-/// and every corner's fill traffic is scored from five summaries.
 pub fn allocate_level(
     shape: &ConvShape,
     upper: &[LevelConfig],
@@ -124,48 +202,95 @@ pub fn allocate_level(
     arch: &ArchSpec,
     policy: FitPolicy,
 ) -> Option<Tile> {
-    let parent = upper.last().map_or_else(|| Tile::whole(shape), |l| l.tile);
-    let corners = corner_candidates(&parent);
+    let tiles: Vec<Tile> = upper.iter().map(|l| l.tile).collect();
     let orders: Vec<LoopOrder> = upper.iter().map(|l| l.order).chain([order]).collect();
-    // Per dimension: (corner extent, summary of its chain), one entry per
-    // distinct extent.
-    let chains = Dim::ALL.map(|d| {
-        let spec = DimSpec::of(shape, d);
-        let mut out: Vec<(usize, DimSummary)> = Vec::new();
-        for cand in &corners {
-            let e = cand.extent(d);
-            if out.iter().all(|&(x, _)| x != e) {
-                let tiles: Vec<usize> = upper.iter().map(|l| l.tile.extent(d)).chain([e]).collect();
-                out.push((e, DimSummary::new(d, &spec, &tiles)));
-            }
-        }
-        out
-    });
-    let summary = |d: Dim, e: usize| {
-        chains[d as usize]
-            .iter()
-            .find(|&&(x, _)| x == e)
-            .map(|&(_, s)| s)
-            .expect("every corner extent has a chain summary")
-    };
-    let mut best: Option<(f64, u64, Tile)> = None;
-    for cand in corners {
-        if !tile_fits(shape, &cand, level, arch, policy) {
-            continue;
-        }
-        let dims = Dim::ALL.map(|d| summary(d, cand.extent(d)));
-        let score = reuse_score(shape, &summary_traffic(shape, &orders, &dims));
-        let size = (cand.h * cand.w * cand.f * cand.c * cand.k) as u64;
-        // Tie-break by larger tiles (fewer iterations, less control).
-        let better = match &best {
-            None => true,
-            Some((s, sz, _)) => score > *s || (score == *s && size > *sz),
-        };
-        if better {
-            best = Some((score, size, cand));
+    CornerSet::new(shape, &tiles, level, arch, policy).pick(shape, &orders)
+}
+
+/// Hierarchy allocation for the rows of one L2 tile — one (L1, L0) pick
+/// per inner order — sharing the order-free work between them: one L1
+/// [`CornerSet`] for the tile, and one L0 set per distinct L1 pick, each
+/// built on first use. [`allocate_hierarchy`] is one row of it.
+pub struct RowAllocator<'a> {
+    shape: &'a ConvShape,
+    arch: &'a ArchSpec,
+    policy: FitPolicy,
+    outer: LoopOrder,
+    l2: Tile,
+    l1_set: Option<CornerSet>,
+    l0_sets: Vec<(Tile, CornerSet)>,
+}
+
+impl<'a> RowAllocator<'a> {
+    /// The rows below `l2`, whose level runs in the `outer` order.
+    pub fn new(
+        shape: &'a ConvShape,
+        outer: LoopOrder,
+        l2: Tile,
+        arch: &'a ArchSpec,
+        policy: FitPolicy,
+    ) -> Self {
+        Self {
+            shape,
+            arch,
+            policy,
+            outer,
+            l2,
+            l1_set: None,
+            l0_sets: Vec::new(),
         }
     }
-    best.map(|(_, _, t)| t)
+
+    /// The L1 then L0 tile allocated with the `inner` order (`None` when a
+    /// level has no fitting corner); [`assemble_hierarchy`] completes them.
+    pub fn pick(&mut self, inner: LoopOrder) -> Option<(Tile, Tile)> {
+        let (shape, arch, policy, l2) = (self.shape, self.arch, self.policy, self.l2);
+        let l1 = self
+            .l1_set
+            .get_or_insert_with(|| CornerSet::new(shape, &[l2], OnChipLevel::L1, arch, policy))
+            .pick(shape, &[self.outer, inner])?;
+        let i = match self.l0_sets.iter().position(|(t, _)| *t == l1) {
+            Some(i) => i,
+            None => {
+                let set = CornerSet::new(shape, &[l2, l1], OnChipLevel::L0, arch, policy);
+                self.l0_sets.push((l1, set));
+                self.l0_sets.len() - 1
+            }
+        };
+        let l0 = self.l0_sets[i].1.pick(shape, &[self.outer, inner, inner])?;
+        Some((l1, l0))
+    }
+}
+
+/// The full on-chip hierarchy of an allocated `[L2, L1, L0]` chain: L2 in
+/// the `outer` order, the levels below in `inner`, plus the register
+/// level; normalized, and `None` if it does not validate.
+pub fn assemble_hierarchy(
+    shape: &ConvShape,
+    outer: LoopOrder,
+    inner: LoopOrder,
+    [l2, l1, l0]: [Tile; 3],
+    arch: &ArchSpec,
+) -> Option<TilingConfig> {
+    let reg = Tile {
+        h: 1,
+        w: 1,
+        f: 1,
+        c: 1,
+        k: arch.vector_width.min(l0.k).max(1),
+    };
+    let level = |order, tile| LevelConfig { order, tile };
+    let cfg = TilingConfig {
+        levels: vec![
+            level(outer, l2),
+            level(inner, l1),
+            level(inner, l0),
+            level(inner, reg),
+        ],
+    }
+    .normalize(shape);
+    cfg.validate(shape).ok()?;
+    Some(cfg)
 }
 
 /// Build the full on-chip hierarchy below a chosen L2 tile: allocate L1
@@ -178,34 +303,8 @@ pub fn allocate_hierarchy(
     arch: &ArchSpec,
     policy: FitPolicy,
 ) -> Option<TilingConfig> {
-    let mut levels = vec![LevelConfig {
-        order: outer,
-        tile: l2,
-    }];
-    let l1 = allocate_level(shape, &levels, inner, OnChipLevel::L1, arch, policy)?;
-    levels.push(LevelConfig {
-        order: inner,
-        tile: l1,
-    });
-    let l0 = allocate_level(shape, &levels, inner, OnChipLevel::L0, arch, policy)?;
-    levels.push(LevelConfig {
-        order: inner,
-        tile: l0,
-    });
-    let reg = Tile {
-        h: 1,
-        w: 1,
-        f: 1,
-        c: 1,
-        k: arch.vector_width.min(l0.k).max(1),
-    };
-    levels.push(LevelConfig {
-        order: inner,
-        tile: reg,
-    });
-    let cfg = TilingConfig { levels }.normalize(shape);
-    cfg.validate(shape).ok()?;
-    Some(cfg)
+    let (l1, l0) = RowAllocator::new(shape, outer, l2, arch, policy).pick(inner)?;
+    assemble_hierarchy(shape, outer, inner, [l2, l1, l0], arch)
 }
 
 /// Morph_base's fixed tiling policy: start from the whole parent tile and
@@ -348,13 +447,6 @@ mod tests {
         // weight partition.
         let sh = layer();
         let arch = ArchSpec::morph();
-        let weighty = Tile {
-            h: 2,
-            w: 2,
-            f: 1,
-            c: 128,
-            k: 256,
-        }; // 864 KB weights? no: 256·128·27 = 884k... pick smaller
         let t = Tile {
             h: 2,
             w: 2,
@@ -376,7 +468,6 @@ mod tests {
             &arch,
             FitPolicy::Partitioned
         ));
-        let _ = weighty;
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! [`Optimizer::search_layer_exhaustive`]). Decisions and their
 //! [`SearchStats`] are memoized in a [`DecisionStore`] that can be shared
 //! across cluster-budgeted optimizer variants and with the session layer
-//! driving them. Configurations can be persisted to a plain-text schedule
-//! file and recalled.
+//! driving them. The searches of one cluster-budget sweep share their
+//! budget-independent work (L2-tile groups, hierarchy allocations)
+//! through a [`SweepState`]. Configurations can be persisted to a
+//! plain-text schedule file and recalled.
 
 pub mod allocate;
 pub mod schedule;
@@ -23,6 +25,6 @@ pub mod space;
 pub mod store;
 
 pub use allocate::FitPolicy;
-pub use search::{LayerDecision, Objective, Optimizer};
+pub use search::{LayerDecision, Objective, Optimizer, SweepState};
 pub use space::Effort;
 pub use store::{DecisionStore, SearchStats, StoreKey, StoredDecision};

@@ -18,20 +18,25 @@
 //! alive for the `search` bench and the parity tests). Every search
 //! records [`SearchStats`] (enumerated / bound-pruned / fully costed)
 //! into the shared [`DecisionStore`].
+//!
+//! The searches of one budget sweep share their budget-independent work
+//! through a [`SweepState`]: the L2-tile groups of the stream and every
+//! row's hierarchy allocation are built once per sweep, not per budget.
 
-use crate::allocate::{allocate_hierarchy, tile_fits, FitPolicy};
+use crate::allocate::{assemble_hierarchy, tile_fits, FitPolicy, RowAllocator};
 use crate::space::{
     dedup_orders, inner_order_candidates, l2_tile_candidates, outer_order_candidates,
     parallelism_candidates, Effort,
 };
 use crate::store::{DecisionStore, SearchStats, StoredDecision};
-use morph_dataflow::arch::OnChipLevel;
-use morph_dataflow::config::{LevelConfig, TilingConfig};
+use morph_dataflow::arch::{ArchSpec, OnChipLevel};
+use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::{best_parallelism, layer_cycles, tile_grid, Parallelism};
-use morph_dataflow::traffic::{boundary_traffic, layer_traffic};
+use morph_dataflow::pieces::DimSpec;
+use morph_dataflow::traffic::{layer_traffic, summary_traffic, DimSummary};
 use morph_energy::{EnergyModel, EnergyReport};
 use morph_nets::Network;
-use morph_tensor::order::LoopOrder;
+use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
 use morph_trace::{NoopRecorder, Recorder};
@@ -100,14 +105,80 @@ pub struct LayerDecision {
 /// One L2-tile group of the candidate stream: its deduplicated outer
 /// orders, the exact DRAM boundary traffic each outer order incurs (the
 /// DRAM boundary depends only on the outermost level, so this is both
-/// cheap and exact), the group's admissible score bound, and the original
-/// enumeration index of its first candidate.
+/// cheap and exact), and the original enumeration index of its first
+/// candidate. Nothing here reads the cluster count or the objective.
 struct TileGroup {
     l2: Tile,
     outers: Vec<LoopOrder>,
     dram_bytes: Vec<u64>,
-    bound: f64,
     offset: u64,
+}
+
+/// One (L2 tile, inner order) row's hierarchy allocation as a
+/// [`SweepState`] remembers it.
+#[derive(Clone, Copy)]
+enum Row {
+    /// Not allocated yet.
+    Unvisited,
+    /// No hierarchy fits below the tile under this order.
+    Empty,
+    /// The allocated L1 and L0 tiles.
+    Tiles(Tile, Tile),
+}
+
+/// What a [`SweepState`]'s groups and rows are built from: the shape, the
+/// fit policy, the architecture apart from its cluster count, the effort
+/// and the order restrictions.
+#[derive(PartialEq)]
+struct StreamInputs {
+    shape: ConvShape,
+    policy: FitPolicy,
+    arch: ArchSpec,
+    effort: Effort,
+    outer_orders: Option<Vec<LoopOrder>>,
+    inner_orders: Option<Vec<LoopOrder>>,
+}
+
+/// The candidate stream a [`SweepState`] shares: its L2-tile groups and,
+/// per group, its rows' allocations by inner order (empty until a search
+/// first visits the group, so unvisited groups cost no row storage).
+struct SharedStream {
+    inputs: StreamInputs,
+    groups: Vec<TileGroup>,
+    rows: Vec<Vec<Row>>,
+}
+
+/// The budget-independent work of one budget sweep, shared by its
+/// searches through [`Optimizer::search_layer_in`]: the neighbour seed,
+/// each L2 tile's deduplicated outer orders and exact DRAM bytes, and each
+/// (L2 tile, inner order) row's allocated (L1, L0) tiles. None of it reads
+/// the cluster count or the objective, so every budget and objective of a
+/// shape can share it.
+///
+/// The seed is the last decision a search in this state returned (or the
+/// one given to [`SweepState::with_seed`]); the next search costs its
+/// L2-tile group first. It only orders the search. The groups and rows
+/// remember the inputs they were built under — the shape, fit policy,
+/// architecture apart from its cluster count, effort, and outer/inner
+/// order restrictions — and a search that arrives with other inputs
+/// empties them first, so a state never changes a decision. Drop the state
+/// when the sweep ends.
+#[derive(Default)]
+pub struct SweepState {
+    seed: Option<LayerDecision>,
+    stream: Option<SharedStream>,
+}
+
+impl SweepState {
+    /// An empty state whose first search is warm-started by `seed`, a
+    /// neighbouring decision (typically the adjacent cluster budget's
+    /// best).
+    pub fn with_seed(seed: LayerDecision) -> Self {
+        Self {
+            seed: Some(seed),
+            stream: None,
+        }
+    }
 }
 
 /// The §V software optimizer.
@@ -263,43 +334,90 @@ impl Optimizer {
     /// Search one layer; results are memoized in the [`DecisionStore`]
     /// (repeated blocks in ResNets hit the store).
     pub fn search_layer(&self, shape: &ConvShape, objective: Objective) -> LayerDecision {
-        self.search_layer_seeded(shape, objective, None)
+        self.search_layer_in(shape, objective, &mut SweepState::default())
     }
 
-    /// [`Optimizer::search_layer`] warm-started by a neighboring
-    /// decision (typically the adjacent cluster budget's best): the
-    /// seed's L2-tile group is costed first, giving branch-and-bound a
-    /// near-optimal incumbent before the rest of the stream is
-    /// inspected. The seed only accelerates pruning — the returned
-    /// decision is bit-identical with or without it.
-    pub fn search_layer_seeded(
+    /// [`Optimizer::search_layer`] as one step of a sweep: the search
+    /// shares `state`'s budget-independent work (building it on first
+    /// use), is warm-started by its seed, and leaves its decision as the
+    /// next seed. A warm start costs the seed's L2-tile group first, giving
+    /// branch-and-bound a near-optimal incumbent before the rest of the
+    /// stream is inspected. The returned decision is bit-identical to a
+    /// fresh state's.
+    pub fn search_layer_in(
         &self,
         shape: &ConvShape,
         objective: Objective,
-        seed: Option<&LayerDecision>,
+        state: &mut SweepState,
     ) -> LayerDecision {
         let key = (*shape, objective, self.store_clusters);
-        if let Some(hit) = self.store.get(&key) {
-            if let Some(decision) = hit.to_decision() {
-                return decision;
+        let decision = match self.store.get(&key).and_then(|hit| hit.to_decision()) {
+            Some(decision) => decision,
+            None => {
+                let (decision, stats) = self.run_search(shape, objective, state, true);
+                self.store
+                    .insert(key, StoredDecision::from_decision(&decision, stats));
+                decision
             }
-        }
-        let (decision, stats) = self.run_search(shape, objective, seed, true);
-        self.store
-            .insert(key, StoredDecision::from_decision(&decision, stats));
+        };
+        state.seed = Some(decision.clone());
         decision
     }
 
     /// The pre-refactor eager reference: cost every candidate, no bounds,
-    /// no memoization. The `search` bench and the parity tests use this
-    /// to prove the pruned stream selects the identical decision while
-    /// fully costing far fewer candidates.
+    /// no memoization, nothing shared. The `search` bench and the parity
+    /// tests use this to prove the pruned stream selects the identical
+    /// decision while fully costing far fewer candidates.
     pub fn search_layer_exhaustive(
         &self,
         shape: &ConvShape,
         objective: Objective,
     ) -> (LayerDecision, SearchStats) {
-        self.run_search(shape, objective, None, false)
+        self.run_search(shape, objective, &mut SweepState::default(), false)
+    }
+
+    /// The L2-tile groups of this optimizer's candidate stream for a
+    /// shape, in original enumeration order. The DRAM boundary's traffic
+    /// depends only on the outermost level, so each (L2 tile, outer order)
+    /// pair's DRAM bytes are exact: scored from the tile's five one-level
+    /// chain summaries, far cheaper than a full costing.
+    fn tile_groups(
+        &self,
+        shape: &ConvShape,
+        outer_cands: &[LoopOrder],
+        n_inner: u64,
+    ) -> Vec<TileGroup> {
+        let arch = &self.model.arch;
+        let mut l2_cands: Vec<_> = l2_tile_candidates(shape, arch, self.effort)
+            .into_iter()
+            .filter(|t| tile_fits(shape, t, OnChipLevel::L2, arch, self.policy))
+            .collect();
+        if l2_cands.is_empty() {
+            // Fall back to the minimum tile so every layer is schedulable.
+            l2_cands.push(Tile::unit());
+        }
+        let specs = Dim::ALL.map(|d| DimSpec::of(shape, d));
+        let mut offset = 0u64;
+        l2_cands
+            .into_iter()
+            .map(|l2| {
+                let outers = dedup_orders(outer_cands, shape, &l2);
+                let dims =
+                    Dim::ALL.map(|d| DimSummary::new(d, &specs[d as usize], &[l2.extent(d)]));
+                let dram_bytes = outers
+                    .iter()
+                    .map(|&outer| summary_traffic(shape, &[outer], dims.each_ref()).total())
+                    .collect();
+                let group = TileGroup {
+                    l2,
+                    outers,
+                    dram_bytes,
+                    offset,
+                };
+                offset += group.outers.len() as u64 * n_inner;
+                group
+            })
+            .collect()
     }
 
     /// Admissible score floor for a candidate, from its exact DRAM bytes
@@ -324,12 +442,13 @@ impl Optimizer {
     /// incumbent from the neighbor decision's group, and skips every
     /// candidate whose bound cannot beat the incumbent. Both paths select
     /// the minimum `(score, original index)` candidate, so their
-    /// decisions are identical.
+    /// decisions are identical. The groups and row allocations come from
+    /// `state`, built here when it holds none for this search's inputs.
     fn run_search(
         &self,
         shape: &ConvShape,
         objective: Objective,
-        seed: Option<&LayerDecision>,
+        state: &mut SweepState,
         prune: bool,
     ) -> (LayerDecision, SearchStats) {
         let arch = &self.model.arch;
@@ -374,10 +493,6 @@ impl Optimizer {
             return (decision, stats);
         }
 
-        let outer_cands = self
-            .outer_orders
-            .clone()
-            .unwrap_or_else(|| outer_order_candidates(self.effort));
         let inner_cands = self
             .inner_orders
             .clone()
@@ -386,63 +501,62 @@ impl Optimizer {
             Some(p) => vec![p],
             None => parallelism_candidates(arch),
         };
+        let n_inner = inner_cands.len();
 
-        let mut l2_cands: Vec<_> = l2_tile_candidates(shape, arch, self.effort)
-            .into_iter()
-            .filter(|t| tile_fits(shape, t, OnChipLevel::L2, arch, self.policy))
-            .collect();
-        if l2_cands.is_empty() {
-            // Fall back to the minimum tile so every layer is schedulable.
-            l2_cands.push(Tile::unit());
+        // The budget-independent part of the stream: built once per state
+        // and set of inputs, shared by every budget and objective after.
+        let inputs = StreamInputs {
+            shape: *shape,
+            policy: self.policy,
+            arch: ArchSpec {
+                clusters: 0,
+                ..*arch
+            },
+            effort: self.effort,
+            outer_orders: self.outer_orders.clone(),
+            inner_orders: self.inner_orders.clone(),
+        };
+        let SweepState { seed, stream } = state;
+        if stream.as_ref().is_none_or(|s| s.inputs != inputs) {
+            let outer_cands = self
+                .outer_orders
+                .clone()
+                .unwrap_or_else(|| outer_order_candidates(self.effort));
+            let groups = self.tile_groups(shape, &outer_cands, n_inner as u64);
+            *stream = Some(SharedStream {
+                rows: vec![Vec::new(); groups.len()],
+                inputs,
+                groups,
+            });
         }
+        let SharedStream { groups, rows, .. } = stream.as_mut().expect("stream built above");
 
         let maccs = shape.maccs();
         // MACC/parallelism roofline: no mapping finishes faster than the
         // chip's peak MACC rate allows.
         let roofline = maccs.div_ceil(arch.peak_maccs_per_cycle());
         let dram_bus_bytes = ((arch.bus_dram_bits / 8).max(1)) as u64;
-
-        // Build the L2-tile groups of the stream, in original enumeration
-        // order. The DRAM boundary's traffic depends only on the
-        // outermost level, so each (L2 tile, outer order) pair's DRAM
-        // bytes are exact — computed on a one-level configuration, far
-        // cheaper than a full costing.
-        let n_inner = inner_cands.len() as u64;
-        let mut groups: Vec<TileGroup> = Vec::with_capacity(l2_cands.len());
-        let mut offset = 0u64;
-        for l2 in &l2_cands {
-            let outers = dedup_orders(&outer_cands, shape, l2);
-            let (dram_bytes, bound) = if prune {
-                let mut dram = Vec::with_capacity(outers.len());
-                let mut bound = f64::INFINITY;
-                for outer in &outers {
-                    let cfg = TilingConfig {
-                        levels: vec![LevelConfig {
-                            order: *outer,
-                            tile: *l2,
-                        }],
-                    };
-                    let bytes = boundary_traffic(shape, &cfg, 0).total();
-                    let floor = roofline.max(bytes.div_ceil(dram_bus_bytes));
-                    bound = bound.min(self.score_floor(objective, maccs, bytes, floor));
-                    dram.push(bytes);
+        // Each group's admissible score bound over its outer orders.
+        let bounds: Vec<f64> = groups
+            .iter()
+            .map(|g| {
+                if !prune {
+                    return f64::NEG_INFINITY;
                 }
-                (dram, bound)
-            } else {
-                (Vec::new(), f64::NEG_INFINITY)
-            };
-            let count = outers.len() as u64 * n_inner;
-            groups.push(TileGroup {
-                l2: *l2,
-                outers,
-                dram_bytes,
-                bound,
-                offset,
-            });
-            offset += count;
-        }
+                g.dram_bytes
+                    .iter()
+                    .map(|&bytes| {
+                        let floor = roofline.max(bytes.div_ceil(dram_bus_bytes));
+                        self.score_floor(objective, maccs, bytes, floor)
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
         let mut stats = SearchStats {
-            enumerated: offset,
+            enumerated: groups
+                .iter()
+                .map(|g| g.outers.len() as u64 * n_inner as u64)
+                .sum(),
             bound_pruned: 0,
             costed: 0,
         };
@@ -456,7 +570,7 @@ impl Optimizer {
         // points at the most promising region). Exhaustive: original.
         let mut order: Vec<usize> = (0..groups.len()).collect();
         if prune {
-            order.sort_by(|&a, &b| groups[a].bound.total_cmp(&groups[b].bound));
+            order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]));
             if let Some(seed) = seed {
                 let seed_l2 = seed.config.levels[0].tile;
                 if let Some(pos) = order.iter().position(|&g| groups[g].l2 == seed_l2) {
@@ -471,45 +585,59 @@ impl Optimizer {
         // The best parallelism depends only on the tile grid, which many
         // (L2 tile, inner order) rows share: score each grid once.
         let mut grid_par: HashMap<(Tile, Tile), (Parallelism, u64)> = HashMap::new();
-        // Trace-only work counters: hierarchy allocations and tile grids
-        // scored for parallelism, the steps a row pays before its bound.
+        // Trace-only work counters: hierarchy allocations, rows served
+        // from the state instead, and tile grids scored for parallelism —
+        // the steps a row pays before its bound.
         let mut allocated = 0u64;
+        let mut rows_shared = 0u64;
         let mut par_grids = 0u64;
-        let stream = |stats: &SearchStats, allocated: u64, par_grids: u64| {
+        let emit = |stats: &SearchStats, allocated: u64, rows_shared: u64, par_grids: u64| {
             let t = stats.bound_pruned + stats.costed;
             rec.counter(&track, "bound_pruned", t, stats.bound_pruned);
             rec.counter(&track, "costed", t, stats.costed);
             rec.counter(&track, "allocated", t, allocated);
+            rec.counter(&track, "rows_shared", t, rows_shared);
             rec.counter(&track, "par_grids", t, par_grids);
         };
+        let base_outer = LoopOrder::base_outer();
 
         for (pos, &gi) in order.iter().enumerate() {
             let g = &groups[gi];
-            if prune && g.bound > incumbent {
+            if prune && bounds[gi] > incumbent {
                 // Groups past the seed are sorted by bound, so every
                 // remaining group is bounded out with this one.
                 stats.bound_pruned += order[pos..]
                     .iter()
-                    .map(|&i| groups[i].outers.len() as u64 * n_inner)
+                    .map(|&i| groups[i].outers.len() as u64 * n_inner as u64)
                     .sum::<u64>();
                 if traced {
-                    stream(&stats, allocated, par_grids);
+                    emit(&stats, allocated, rows_shared, par_grids);
                 }
                 break;
             }
-            for (j, inner) in inner_cands.iter().enumerate() {
-                // The sub-tile choice is driven by the inner order; the
-                // outer order is swapped in afterwards. Every (L2 tile,
-                // inner order) row is allocated exactly once per search.
-                allocated += 1;
-                let Some(base_cfg) = allocate_hierarchy(
-                    shape,
-                    LoopOrder::base_outer(),
-                    *inner,
-                    g.l2,
-                    arch,
-                    self.policy,
-                ) else {
+            // The sub-tile choice is driven by the inner order; the outer
+            // order is swapped in afterwards. Each row is allocated once
+            // per state, sharing its corner sets with the group's others.
+            let mut alloc = RowAllocator::new(shape, base_outer, g.l2, arch, self.policy);
+            let g_rows = &mut rows[gi];
+            if g_rows.is_empty() {
+                g_rows.resize(n_inner, Row::Unvisited);
+            }
+            for ((j, inner), row) in inner_cands.iter().enumerate().zip(g_rows) {
+                if let Row::Unvisited = row {
+                    allocated += 1;
+                    *row = alloc
+                        .pick(*inner)
+                        .map_or(Row::Empty, |(l1, l0)| Row::Tiles(l1, l0));
+                } else {
+                    rows_shared += 1;
+                }
+                let Row::Tiles(l1, l0) = *row else {
+                    continue;
+                };
+                let Some(base_cfg) =
+                    assemble_hierarchy(shape, base_outer, *inner, [g.l2, l1, l0], arch)
+                else {
                     continue;
                 };
                 // Best parallelism = fewest compute cycles; it depends only
@@ -585,13 +713,13 @@ impl Optimizer {
             // Stream the prune/cost split once per visited tile group —
             // bounded by the group count, not the candidate count.
             if traced {
-                stream(&stats, allocated, par_grids);
+                emit(&stats, allocated, rows_shared, par_grids);
             }
         }
         if traced {
             let t = stats.bound_pruned + stats.costed;
             rec.counter(&track, "enumerated", t, stats.enumerated);
-            stream(&stats, allocated, par_grids);
+            emit(&stats, allocated, rows_shared, par_grids);
             rec.span_end(&track, "search", t);
         }
         let decision = best.expect("search space never empty").2;
@@ -713,7 +841,8 @@ mod tests {
         let d_cold = cold.search_layer(&sh, Objective::Energy);
 
         let seeded = Optimizer::morph(EnergyModel::morph(arch), Effort::Fast);
-        let d_seeded = seeded.search_layer_seeded(&sh, Objective::Energy, Some(&d_cold));
+        let mut state = SweepState::with_seed(d_cold.clone());
+        let d_seeded = seeded.search_layer_in(&sh, Objective::Energy, &mut state);
         assert_eq!(d_cold.config, d_seeded.config);
         assert_eq!(d_cold.par, d_seeded.par);
         assert_eq!(d_cold.report, d_seeded.report);
@@ -727,12 +856,28 @@ mod tests {
         );
     }
 
+    /// The final sample of every counter on a trace buffer's events,
+    /// asserting each is monotone along the way.
+    fn final_counters(events: &[morph_trace::TraceEvent]) -> HashMap<&str, u64> {
+        let mut last: HashMap<&str, u64> = HashMap::new();
+        for e in events {
+            if let morph_trace::Phase::Counter(v) = e.phase {
+                let prev = last.insert(e.name.as_str(), v).unwrap_or(0);
+                assert!(v >= prev, "counter {} regressed", e.name);
+            }
+        }
+        last
+    }
+
     /// The streaming trace counters close exactly on the returned
     /// [`SearchStats`]: the final `enumerated` / `bound_pruned` / `costed`
     /// samples on the search track equal the stored stats, the `allocated`
-    /// and `par_grids` work counters are monotone and nonzero, the span is
-    /// balanced over `[0, visited]`, and attaching a recorder changes
-    /// nothing about the selected decision.
+    /// and `par_grids` work counters are monotone and nonzero, a cold
+    /// search shares no rows, the span is balanced over `[0, visited]`,
+    /// and attaching a recorder changes nothing about the selected
+    /// decision. On a warm state, `allocated + rows_shared` still counts
+    /// every visited row: it equals the allocations of the same search on
+    /// a fresh state with the same seed.
     #[test]
     fn trace_counters_close_on_search_stats() {
         use morph_trace::{Phase, TraceBuffer};
@@ -761,19 +906,15 @@ mod tests {
         assert!(events.iter().all(|e| e.track == track));
 
         // Final counter samples == returned stats, streamed monotonically.
-        let mut last: HashMap<&str, u64> = HashMap::new();
-        for e in &events {
-            if let Phase::Counter(v) = e.phase {
-                let prev = last.insert(e.name.as_str(), v).unwrap_or(0);
-                assert!(v >= prev, "counter {} regressed", e.name);
-            }
-        }
+        let last = final_counters(&events);
         assert_eq!(last["enumerated"], stats.enumerated);
         assert_eq!(last["bound_pruned"], stats.bound_pruned);
         assert_eq!(last["costed"], stats.costed);
-        // The work counters stream beside them: every visited row is
-        // allocated, and rows sharing a tile grid score parallelism once.
+        // The work counters stream beside them: a cold search allocates
+        // every visited row, and rows sharing a tile grid score
+        // parallelism once.
         assert!(last["allocated"] > 0);
+        assert_eq!(last["rows_shared"], 0);
         assert!(last["par_grids"] > 0);
         assert!(last["par_grids"] <= last["allocated"]);
 
@@ -796,6 +937,99 @@ mod tests {
         let before = buf.len();
         let _ = traced.search_layer(&sh, Objective::Energy);
         assert_eq!(buf.len(), before);
+
+        // A warm full-chip search after a half-chip one, on one state,
+        // against the same search on a fresh state with the same seed.
+        let half = ArchSpec {
+            clusters: 3,
+            ..arch
+        };
+        let mut state = SweepState::default();
+        let d_half = Optimizer::morph(EnergyModel::morph(half), Effort::Fast).search_layer_in(
+            &sh,
+            Objective::Energy,
+            &mut state,
+        );
+        let run = |state: &mut SweepState| {
+            let buf = Arc::new(TraceBuffer::new());
+            let opt =
+                Optimizer::morph(EnergyModel::morph(arch), Effort::Fast).with_recorder(buf.clone());
+            let d = opt.search_layer_in(&sh, Objective::Energy, state);
+            assert_eq!(d.report, d_plain.report);
+            let events = buf.events();
+            let last = final_counters(&events);
+            (
+                last["allocated"],
+                last["rows_shared"],
+                opt.search_stats(&sh, Objective::Energy),
+            )
+        };
+        let (warm_allocated, warm_shared, warm_stats) = run(&mut state);
+        let (cold_allocated, cold_shared, cold_stats) = run(&mut SweepState::with_seed(d_half));
+        assert_eq!(cold_shared, 0);
+        assert!(
+            warm_shared > 0,
+            "the half-chip search left no rows to share"
+        );
+        assert!(warm_allocated < cold_allocated);
+        assert_eq!(warm_allocated + warm_shared, cold_allocated);
+        assert_eq!(warm_stats, cold_stats);
+    }
+
+    /// A state filled under one optimizer's inputs and handed to another
+    /// whose inputs differ — Morph_base, or Morph with only its fit policy,
+    /// its outer or inner orders, or its L1 changed — or to another shape
+    /// is emptied first: each search returns what a fresh state returns.
+    #[test]
+    fn sweep_state_never_crosses_inputs() {
+        let arch = ArchSpec::morph();
+        let shapes = [
+            layer(),
+            ConvShape::new_3d(14, 14, 4, 32, 64, 3, 3, 3).with_pad(1, 1),
+        ];
+        let morph = || Optimizer::morph(EnergyModel::morph(arch), Effort::Fast);
+        let base = || Optimizer::morph_base(EnergyModel::morph_base(arch));
+        let partitioned = || {
+            let mut opt = morph();
+            opt.policy = FitPolicy::Partitioned;
+            opt
+        };
+        let few_outers = || morph().with_outer_orders(vec!["KWHCF".parse().unwrap()]);
+        let few_inners = || morph().with_inner_orders(vec!["kfwhc".parse().unwrap()]);
+        let small_l1 = || {
+            let arch = ArchSpec {
+                l1_bytes: arch.l1_bytes / 4,
+                ..arch
+            };
+            Optimizer::morph(EnergyModel::morph(arch), Effort::Fast)
+        };
+        // Every change of inputs, each from and back to Morph; the state
+        // also carries from one shape's last search to the next shape's.
+        let sequence: [&dyn Fn() -> Optimizer; 11] = [
+            &morph,
+            &base,
+            &morph,
+            &partitioned,
+            &morph,
+            &few_outers,
+            &morph,
+            &few_inners,
+            &morph,
+            &small_l1,
+            &morph,
+        ];
+        for objective in [Objective::Energy, Objective::PerfPerWatt] {
+            let mut state = SweepState::default();
+            for sh in &shapes {
+                for (i, build) in sequence.iter().enumerate() {
+                    let shared = build().search_layer_in(sh, objective, &mut state);
+                    let fresh = build().search_layer(sh, objective);
+                    assert_eq!(shared.config, fresh.config, "{i} {sh:?} {objective:?}");
+                    assert_eq!(shared.par, fresh.par, "{i} {sh:?} {objective:?}");
+                    assert_eq!(shared.report, fresh.report, "{i} {sh:?} {objective:?}");
+                }
+            }
+        }
     }
 
     /// Two optimizers for different cluster budgets sharing one store

@@ -1,12 +1,17 @@
-//! Oracle test for the allocation kernel. `allocate_hierarchy` scores a
+//! Oracle tests for the allocation kernel. `allocate_hierarchy` scores a
 //! level's corner candidates from per-dimension chain summaries; the slow
 //! reference here scores every fitting corner with the public `f_reuse`
-//! on a freshly built configuration, as the §V-C heuristic states it.
+//! on a freshly built configuration, as the §V-C heuristic states it. The
+//! search's shared path, which reuses one L2 tile's corner sets across
+//! its inner orders, is checked against fresh `allocate_hierarchy` calls.
 
 use morph_dataflow::arch::{ArchSpec, OnChipLevel};
 use morph_dataflow::config::{LevelConfig, TilingConfig};
-use morph_optimizer::allocate::{allocate_hierarchy, f_reuse, tile_fits, FitPolicy};
-use morph_optimizer::space::{l2_tile_candidates, Effort};
+use morph_optimizer::allocate::{
+    allocate_hierarchy, allocate_level, assemble_hierarchy, f_reuse, tile_fits, FitPolicy,
+    RowAllocator,
+};
+use morph_optimizer::space::{inner_order_candidates, l2_tile_candidates, Effort};
 use morph_tensor::order::LoopOrder;
 use morph_tensor::rng::XorShift as Rng;
 use morph_tensor::shape::ConvShape;
@@ -110,9 +115,10 @@ fn hierarchy_ref(
     Some(cfg)
 }
 
-/// Summary-scored allocation equals the `f_reuse` reference under both
-/// fit policies and every inner order, below searched L2 tiles, the unit
-/// tile and tiles larger than the layer.
+/// Summary-scored allocation (`allocate_level` for L1, and the whole
+/// `allocate_hierarchy`) equals the `f_reuse` reference under both fit
+/// policies and every inner order, below searched L2 tiles, the unit tile
+/// and tiles larger than the layer.
 #[test]
 fn allocation_matches_f_reuse_reference() {
     let mut rng = Rng::new(0xA110);
@@ -139,6 +145,15 @@ fn allocation_matches_f_reuse_reference() {
         for l2 in l2s {
             for policy in [FitPolicy::Banked, FitPolicy::Partitioned] {
                 for &inner in &orders {
+                    let upper = [LevelConfig {
+                        order: outer,
+                        tile: l2,
+                    }];
+                    assert_eq!(
+                        allocate_level(&shape, &upper, inner, OnChipLevel::L1, &arch, policy),
+                        level_ref(&shape, &upper, inner, OnChipLevel::L1, &arch, policy),
+                        "{shape:?} l2 {l2:?} {policy:?} {inner}"
+                    );
                     let got = allocate_hierarchy(&shape, outer, inner, l2, &arch, policy);
                     let want = hierarchy_ref(&shape, outer, inner, l2, &arch, policy);
                     assert_eq!(got, want, "{shape:?} l2 {l2:?} {policy:?} {inner}");
@@ -148,4 +163,35 @@ fn allocation_matches_f_reuse_reference() {
         }
     }
     assert!(allocated > 0, "the sweep allocated nothing");
+}
+
+/// One `RowAllocator` per L2 candidate, its corner sets shared by every
+/// inner order as the search shares them, picks what a fresh
+/// `allocate_hierarchy` picks for each (L2 candidate, inner order) row,
+/// under both fit policies.
+#[test]
+fn shared_corner_sets_match_fresh_allocation() {
+    let mut rng = Rng::new(0x5EA2);
+    let arch = ArchSpec::morph();
+    let orders = LoopOrder::all();
+    let inners = inner_order_candidates(Effort::Fast);
+    let mut rows = 0;
+    for _ in 0..6 {
+        let shape = arb_layer(&mut rng);
+        let outer = orders[rng.range(0, orders.len())];
+        for policy in [FitPolicy::Banked, FitPolicy::Partitioned] {
+            for l2 in l2_tile_candidates(&shape, &arch, Effort::Fast) {
+                let mut rows_of_l2 = RowAllocator::new(&shape, outer, l2, &arch, policy);
+                for &inner in &inners {
+                    let got = rows_of_l2.pick(inner).and_then(|(l1, l0)| {
+                        assemble_hierarchy(&shape, outer, inner, [l2, l1, l0], &arch)
+                    });
+                    let want = allocate_hierarchy(&shape, outer, inner, l2, &arch, policy);
+                    assert_eq!(got, want, "{shape:?} l2 {l2:?} {policy:?} {inner}");
+                    rows += usize::from(want.is_some());
+                }
+            }
+        }
+    }
+    assert!(rows > 0, "the sweep allocated nothing");
 }
