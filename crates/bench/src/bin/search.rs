@@ -23,6 +23,12 @@
 //! decision of that budget's exhaustive search (which always starts from
 //! an empty state).
 //!
+//! A fourth runs at `Effort::Thorough` whatever `MORPH_EFFORT` says: on
+//! a small 2D and a small 3D layer, under every objective, the pruned
+//! search returns the exhaustive decision over the dense grid and all 120
+//! loop orders at both levels, where the corner-score memo sees every
+//! inner order.
+//!
 //! The per-run `SearchStats` ride in the emitted schema-v5 `RunReport`
 //! (`search` field), which `run_all` merges into `bench.json`.
 
@@ -35,6 +41,53 @@ use morph_nets::zoo;
 use morph_tensor::shape::ConvShape;
 use std::collections::HashSet;
 use std::time::Instant;
+
+/// Layers small enough for a `Thorough` exhaustive search: a 7×7, 32→32
+/// 2D layer and a 6×6×3, 8→16 3D layer, both 3×3(×3) with unit padding.
+fn thorough_layers() -> [ConvShape; 2] {
+    [
+        ConvShape::new_2d(7, 7, 32, 32, 3, 3).with_pad(1, 0),
+        ConvShape::new_3d(6, 6, 3, 8, 16, 3, 3, 3).with_pad(1, 1),
+    ]
+}
+
+/// Assert that the pruned `Thorough` search returns the exhaustive
+/// decision for each of [`thorough_layers`] under `objective`, over the
+/// same enumerated stream; returns the rows of the summary table.
+fn check_thorough(objective: Objective) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for sh in thorough_layers() {
+        let opt = Optimizer::morph(EnergyModel::morph(ArchSpec::morph()), Effort::Thorough);
+        let t0 = Instant::now();
+        let pruned = opt.search_layer(&sh, objective);
+        let pruned_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t1 = Instant::now();
+        let (want, ex_stats) = opt.search_layer_exhaustive(&sh, objective);
+        let exhaustive_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let at = format!("Thorough {sh:?} {objective:?}");
+        assert_eq!(pruned.config, want.config, "{at}: config diverged");
+        assert_eq!(pruned.par, want.par, "{at}: parallelism diverged");
+        assert_eq!(pruned.report, want.report, "{at}: report diverged");
+        let stats = opt
+            .search_stats(&sh, objective)
+            .expect("searched shapes carry stats");
+        assert_eq!(
+            stats.enumerated, ex_stats.enumerated,
+            "{at}: streams differ"
+        );
+        assert!(stats.costed <= ex_stats.costed, "{at}: pruning costed more");
+        rows.push(vec![
+            Optimizer::shape_tag(&sh),
+            objective.label().to_string(),
+            ex_stats.enumerated.to_string(),
+            ex_stats.costed.to_string(),
+            stats.costed.to_string(),
+            format!("{exhaustive_ms:.0}"),
+            format!("{pruned_ms:.0}"),
+        ]);
+    }
+    rows
+}
 
 /// Assert that `backend`'s budget sweeps over the whole chip return,
 /// budget by budget, the exhaustive decision of `reference`'s optimizer
@@ -235,6 +288,26 @@ fn main() {
         "\nSwept searches: {swept} budget decisions (Two_Stream x {{Morph, Morph_base}} x 3 \
          objectives x budgets 1..=6, each sweep sharing one SweepState) equal the exhaustive \
          reference's, asserted decision by decision."
+    );
+    // Thorough pruned vs exhaustive on layers small enough to enumerate.
+    let thorough: Vec<Vec<String>> = objectives.into_iter().flat_map(check_thorough).collect();
+    print_table(
+        "Mapping search at Effort::Thorough — pruned vs exhaustive on small layers",
+        &[
+            "layer",
+            "objective",
+            "enumerated",
+            "exhaustive costed",
+            "pruned costed",
+            "exhaustive (ms)",
+            "pruned (ms)",
+        ],
+        &thorough,
+    );
+    println!(
+        "\nThorough searches: {} decisions (2 small layers x 3 objectives, all 120 loop orders \
+         at both levels) equal the exhaustive reference's.",
+        thorough.len()
     );
     let merged = RunReport::merged(reports).expect("uniform schema");
     emit_report("search", &merged);

@@ -22,6 +22,7 @@ use crate::config::TilingConfig;
 use crate::pieces::{DimPieces, DimSpec, Piece};
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::{ConvShape, ACT_BYTES, WGT_BYTES};
+use std::collections::HashMap;
 
 /// Bytes crossing one boundary, by data type and direction.
 ///
@@ -114,27 +115,23 @@ enum DataType {
     Psum,
 }
 
-/// What the nest logic reads of one dimension's pieces at one boundary:
-/// piece counts per level and input-extent sums.
-trait DimView {
-    /// Piece count after nesting levels `0..=level`.
-    fn count_at(&self, level: usize) -> usize;
-    /// Σ clipped input extents over the final pieces; with slide reuse
-    /// within runs of the loop at `slide` when given.
-    fn input_sum(&self, slide: Option<usize>) -> u64;
+impl DataType {
+    const ALL: [DataType; 3] = [DataType::Input, DataType::Weight, DataType::Psum];
 }
 
-/// The exact per-dimension arithmetic, evaluated on demand.
+/// One dimension's exact pieces, as the reference scan reads them.
 struct Exact {
     spec: DimSpec,
     pieces: DimPieces,
 }
 
-impl DimView for Exact {
+impl Exact {
     fn count_at(&self, level: usize) -> usize {
         self.pieces.count_at(level)
     }
 
+    /// Σ clipped input extents over the final pieces; with slide reuse
+    /// within runs of the loop at `slide` when given.
     fn input_sum(&self, slide: Option<usize>) -> u64 {
         match slide {
             Some(level) => self.pieces.input_sum_slide(&self.spec, level),
@@ -146,9 +143,10 @@ impl DimView for Exact {
 /// Digest of one dimension's tile chain at every depth: everything the
 /// traffic engine reads of its [`DimPieces`] at each boundary the chain
 /// reaches, taken in one walk down the chain. Candidates that share a
-/// dimension's chain share its summary, so the piece lists are walked once
-/// per chain instead of once per candidate and boundary;
-/// [`summary_traffic`] scores a boundary from five of them.
+/// dimension's chain share its summary (see [`ChainSummaries`]), so the
+/// piece lists are walked once per chain instead of once per candidate
+/// and boundary; [`ChainSummaries::boundary`] scores a boundary from five
+/// of them.
 #[derive(Debug, Clone)]
 pub struct DimSummary {
     /// Piece count after nesting levels `0..=j`.
@@ -243,6 +241,18 @@ impl DimSummary {
         self.counts[level]
     }
 
+    /// True when the dimension's loop at `level` has more than one trip:
+    /// its piece count grows there (exceeds 1 at level 0). The transfer
+    /// rules read only these loops.
+    pub fn multi_trip(&self, level: usize) -> bool {
+        let parent = if level == 0 {
+            1
+        } else {
+            self.counts[level - 1]
+        };
+        self.counts[level] > parent
+    }
+
     /// [`DimPieces::input_sum_full`] of the pieces after nesting levels
     /// `0..=depth` (0 for `K`).
     pub fn input_sum_full(&self, depth: usize) -> u64 {
@@ -256,21 +266,197 @@ impl DimSummary {
     }
 }
 
-/// A [`DimSummary`] read at one depth: the view of one boundary.
-struct AtDepth<'a> {
-    summary: &'a DimSummary,
-    depth: usize,
+/// A dimension's tile chain summarized in a [`ChainSummaries`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainId(usize);
+
+/// One layer shape's chain summaries, each built on first request, and
+/// the shape constants the transfer rules read. A chain is one
+/// dimension's tile extents from the outermost level down to the level
+/// being scored, of any length; equal chains share one [`DimSummary`],
+/// so every boundary scored through this context walks each distinct
+/// chain's pieces once. [`layer_traffic`] scores through the same rules
+/// without the memo.
+#[derive(Debug)]
+pub struct ChainSummaries {
+    shape: ConvShape,
+    specs: [DimSpec; 5],
+    outputs: u64,
+    psum_bytes: u64,
+    weight_elems: u64,
+    maccs: u64,
+    /// Per dimension: each summarized chain's index in `summaries`.
+    index: [HashMap<Vec<usize>, usize>; 5],
+    summaries: Vec<DimSummary>,
+    /// Scratch chain for [`ChainSummaries::layer_traffic`].
+    chain: Vec<usize>,
 }
 
-impl DimView for AtDepth<'_> {
-    fn count_at(&self, level: usize) -> usize {
-        self.summary.counts[..=self.depth][level]
+impl ChainSummaries {
+    /// An empty context for `shape`.
+    pub fn new(shape: &ConvShape) -> Self {
+        Self {
+            shape: *shape,
+            specs: Dim::ALL.map(|d| DimSpec::of(shape, d)),
+            outputs: shape.output_elems(),
+            psum_bytes: shape.psum_bytes(),
+            weight_elems: shape.weight_elems(),
+            maccs: shape.maccs(),
+            index: Default::default(),
+            summaries: Vec::new(),
+            chain: Vec::new(),
+        }
     }
 
-    fn input_sum(&self, slide: Option<usize>) -> u64 {
-        match slide {
-            Some(level) => self.summary.input_sum_slide(self.depth, level),
-            None => self.summary.input_sum_full(self.depth),
+    /// The layer shape.
+    pub fn shape(&self) -> &ConvShape {
+        &self.shape
+    }
+
+    /// The layer's multiply-accumulate count.
+    pub fn maccs(&self) -> u64 {
+        self.maccs
+    }
+
+    /// How many summaries this context has built (one per distinct
+    /// chain requested).
+    pub fn built(&self) -> usize {
+        self.summaries.len()
+    }
+
+    /// Dimension `d`'s chain sliced by `tiles` (outermost first), built
+    /// on its first request.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the inputs [`DimSummary::new`] rejects.
+    pub fn chain(&mut self, d: Dim, tiles: &[usize]) -> ChainId {
+        let index = &mut self.index[dim_index(d)];
+        if let Some(&i) = index.get(tiles) {
+            return ChainId(i);
+        }
+        let i = self.summaries.len();
+        self.summaries
+            .push(DimSummary::new(d, &self.specs[dim_index(d)], tiles));
+        index.insert(tiles.to_vec(), i);
+        ChainId(i)
+    }
+
+    /// The summary of a chain.
+    pub fn summary(&self, chain: ChainId) -> &DimSummary {
+        &self.summaries[chain.0]
+    }
+
+    /// The dimensions (bit `1 << d as usize`) whose loop at `level` has
+    /// more than one trip ([`DimSummary::multi_trip`]) in `chains` (in
+    /// [`Dim::ALL`] order).
+    pub fn multi_trip(&self, chains: [ChainId; 5], level: usize) -> u8 {
+        Dim::ALL
+            .iter()
+            .zip(chains)
+            .filter(|(_, c)| self.summary(*c).multi_trip(level))
+            .fold(0, |mask, (&d, _)| mask | 1 << d as usize)
+    }
+
+    /// [`boundary_traffic`] from the summarized `chains` (in [`Dim::ALL`]
+    /// order): the boundary into the deepest of `orders.len()` levels,
+    /// each level's loops in its order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `orders` is empty or longer than a chain.
+    pub fn boundary(&self, orders: &[LoopOrder], chains: [ChainId; 5]) -> BoundaryTraffic {
+        self.rules(orders, chains.map(|c| self.summary(c)))
+    }
+
+    /// [`layer_traffic`] with each dimension's chain drawn from this
+    /// context.
+    pub fn layer_traffic(&mut self, cfg: &TilingConfig) -> LayerTraffic {
+        let mut tiles = std::mem::take(&mut self.chain);
+        let chains = Dim::ALL.map(|d| {
+            tiles.clear();
+            tiles.extend(cfg.levels.iter().map(|l| l.tile.extent(d)));
+            self.chain(d, &tiles)
+        });
+        self.chain = tiles;
+        self.layer(cfg, chains.map(|c| self.summary(c)))
+    }
+
+    /// Every boundary of `cfg`, scored from its five chains' summaries.
+    fn layer(&self, cfg: &TilingConfig, dims: [&DimSummary; 5]) -> LayerTraffic {
+        let orders: Vec<LoopOrder> = cfg.levels.iter().map(|l| l.order).collect();
+        LayerTraffic {
+            boundaries: (1..=orders.len())
+                .map(|n| self.rules(&orders[..n], dims))
+                .collect(),
+            maccs: self.maccs,
+            outputs: self.outputs,
+        }
+    }
+
+    /// The transfer rules in closed form on the nest of `orders.len()`
+    /// levels, reading `dims` at the deepest.
+    ///
+    /// Per data type, `p` is the innermost relevant multi-trip loop, at
+    /// slot `k` of level `L`. An irrelevant dimension's deepest loop
+    /// before `p` is at level `L` when it comes before slot `k` in level
+    /// `L`'s order, else at level `L − 1` (none when `L = 0`), and its
+    /// piece count there is its refetch factor. [`nest_traffic`] is the
+    /// scan this evaluates directly.
+    fn rules(&self, orders: &[LoopOrder], dims: [&DimSummary; 5]) -> BoundaryTraffic {
+        let depth = orders.len().checked_sub(1).expect("at least one level");
+        // `p` per data type, walking the nest inward from its last loop.
+        let mut p = [None; 3];
+        'levels: for level in (0..=depth).rev() {
+            let order = orders[level].dims();
+            for slot in (0..5).rev() {
+                let d = order[slot];
+                if !dims[dim_index(d)].multi_trip(level) {
+                    continue;
+                }
+                for (found, ty) in p.iter_mut().zip(DataType::ALL) {
+                    if found.is_none() && relevant(d, ty) {
+                        *found = Some((level, slot));
+                    }
+                }
+                if p.iter().all(Option::is_some) {
+                    break 'levels;
+                }
+            }
+        }
+        // Piece count at `d`'s deepest loop before `p` (1 when none).
+        let before = |d: Dim, p: Option<(usize, usize)>| -> u64 {
+            let level = match p {
+                Some((level, slot)) if orders[level].position(d) < slot => level,
+                Some((level, _)) if level > 0 => level - 1,
+                _ => return 1,
+            };
+            dims[dim_index(d)].count_at(level) as u64
+        };
+        let [p_in, p_w, p_ps] = p;
+
+        // Inputs slide along `p`'s loop, when it is a sliding window.
+        let slide = p_in.map(|(level, slot)| (level, orders[level].dims()[slot]));
+        let mut input_down = before(Dim::K, p_in) * ACT_BYTES;
+        for d in [Dim::W, Dim::H, Dim::F, Dim::C] {
+            let summary = dims[dim_index(d)];
+            input_down *= match slide {
+                Some((level, at)) if at == d && slides(d) => summary.input_sum_slide(depth, level),
+                _ => summary.input_sum_full(depth),
+            };
+        }
+        let weight_down = before(Dim::W, p_w)
+            * before(Dim::H, p_w)
+            * before(Dim::F, p_w)
+            * self.weight_elems
+            * WGT_BYTES;
+        let spill = (before(Dim::C, p_ps) - 1) * self.outputs * self.psum_bytes;
+        BoundaryTraffic {
+            input_down,
+            weight_down,
+            psum_down: spill,
+            psum_up: spill,
+            output_up: self.outputs * ACT_BYTES,
         }
     }
 }
@@ -304,28 +490,24 @@ pub fn apply_multicast(traffic: &mut LayerTraffic, hp: usize, wp: usize, fp: usi
 /// arbitrary candidates.
 ///
 /// Each dimension's tile chain is summarized once, at every depth, and
-/// every boundary is scored from the five summaries ([`summary_traffic`]).
+/// every boundary is scored from the five summaries by the rules
+/// [`ChainSummaries::layer_traffic`] uses.
 pub fn layer_traffic(shape: &ConvShape, cfg: &TilingConfig) -> LayerTraffic {
+    let context = ChainSummaries::new(shape);
     let mut tiles = Vec::with_capacity(cfg.levels.len());
     let dims = Dim::ALL.map(|d| {
         tiles.clear();
         tiles.extend(cfg.levels.iter().map(|l| l.tile.extent(d)));
-        DimSummary::new(d, &DimSpec::of(shape, d), &tiles)
+        DimSummary::new(d, &context.specs[dim_index(d)], &tiles)
     });
-    let orders: Vec<LoopOrder> = cfg.levels.iter().map(|l| l.order).collect();
-    LayerTraffic {
-        boundaries: (1..=orders.len())
-            .map(|n| summary_traffic(shape, &orders[..n], dims.each_ref()))
-            .collect(),
-        maccs: shape.maccs(),
-        outputs: shape.output_elems(),
-    }
+    context.layer(cfg, dims.each_ref())
 }
 
 /// The traffic of one boundary of [`layer_traffic`]: into level `b` of
 /// `cfg` (`b == 0` is DRAM→L2). Only levels `0..=b` are read; each
-/// dimension's pieces are rebuilt from [`DimPieces`], so this is also the
-/// reference the faster paths are checked against.
+/// dimension's pieces are rebuilt from [`DimPieces`] and the nest is
+/// scanned loop by loop, so this is the independent reference the
+/// closed-form rules are checked against.
 pub fn boundary_traffic(shape: &ConvShape, cfg: &TilingConfig, b: usize) -> BoundaryTraffic {
     let levels = &cfg.levels[..=b];
     let mut tiles = Vec::with_capacity(levels.len());
@@ -342,34 +524,10 @@ pub fn boundary_traffic(shape: &ConvShape, cfg: &TilingConfig, b: usize) -> Boun
     nest_traffic(shape, &orders, &dims)
 }
 
-/// [`boundary_traffic`] from per-dimension summaries: the boundary into the
-/// deepest of `orders.len()` levels, each level's loops in its order, with
-/// `dims` in [`Dim::ALL`] order summarizing tile chains at least that deep.
-///
-/// # Panics
-///
-/// Panics if `orders` is empty or longer than a summarized chain.
-pub fn summary_traffic(
-    shape: &ConvShape,
-    orders: &[LoopOrder],
-    dims: [&DimSummary; 5],
-) -> BoundaryTraffic {
-    let depth = orders.len().checked_sub(1).expect("at least one level");
-    nest_traffic(
-        shape,
-        orders,
-        &dims.map(|summary| AtDepth { summary, depth }),
-    )
-}
-
-/// The transfer rules on the concatenated nest of `orders.len()` levels
-/// (each level's five loops in its order, outermost level first), reading
-/// each dimension's pieces at that depth through `dims`.
-fn nest_traffic<V: DimView>(
-    shape: &ConvShape,
-    orders: &[LoopOrder],
-    dims: &[V; 5],
-) -> BoundaryTraffic {
+/// The transfer rules by scanning the concatenated nest of `orders.len()`
+/// levels (each level's five loops in its order, outermost level first),
+/// reading each dimension's exact pieces at that depth.
+fn nest_traffic(shape: &ConvShape, orders: &[LoopOrder], dims: &[Exact; 5]) -> BoundaryTraffic {
     let nest_len = 5 * orders.len();
     let nest = |i: usize| NestLoop {
         level: i / 5,

@@ -2,7 +2,7 @@
 //! pseudo-random shapes and configurations.
 
 use morph_dataflow::prelude::*;
-use morph_dataflow::traffic::{summary_traffic, DimSummary};
+use morph_dataflow::traffic::{ChainSummaries, DimSummary};
 use morph_tensor::prelude::*;
 use morph_tensor::rng::XorShift as Rng;
 
@@ -390,13 +390,14 @@ fn summaries_match_piece_lists() {
 /// Every boundary scores the same through `layer_traffic` (each
 /// dimension summarized once, every boundary from those summaries),
 /// `boundary_traffic` (piece lists rebuilt per boundary, the reference)
-/// and five summaries of the chain down to that boundary, on
+/// and a `ChainSummaries` holding the chains down to that boundary, on
 /// configurations of one to six levels.
 #[test]
 fn boundary_paths_agree() {
     let mut rng = Rng::new(0xB0DA);
     for _ in 0..256 {
         let shape = arb_shape(&mut rng);
+        let mut context = ChainSummaries::new(&shape);
         let mut cfg = arb_any_config(&mut rng, &shape);
         for _ in 0..rng.range(0, 3) {
             cfg.levels.push(arb_level(&mut rng, &shape));
@@ -409,14 +410,150 @@ fn boundary_paths_agree() {
         for (b, got) in whole.boundaries.iter().enumerate() {
             let want = boundary_traffic(&shape, &cfg, b);
             assert_eq!(*got, want, "{shape:?} {cfg:?} boundary {b}");
-            let dims = Dim::ALL.map(|d| {
+            let chains = Dim::ALL.map(|d| {
                 let tiles: Vec<usize> = cfg.levels[..=b].iter().map(|l| l.tile.extent(d)).collect();
-                DimSummary::new(d, &DimSpec::of(&shape, d), &tiles)
+                context.chain(d, &tiles)
             });
-            assert_eq!(
-                summary_traffic(&shape, &orders[..=b], dims.each_ref()),
-                want
+            assert_eq!(context.boundary(&orders[..=b], chains), want);
+        }
+    }
+}
+
+/// A chain of 1 to 6 levels below the whole layer in which each level
+/// leaves about half the dimensions single-trip (the parent's extent,
+/// so the piece count does not grow) and splits the rest, each level in
+/// a random order.
+fn arb_trip_config(rng: &mut Rng, shape: &ConvShape) -> TilingConfig {
+    let orders = LoopOrder::all();
+    let mut parent = Tile::whole(shape);
+    let levels = (0..rng.range(1, 7))
+        .map(|_| {
+            let mut tile = parent;
+            for d in Dim::ALL {
+                let e = parent.extent(d);
+                if e > 1 && rng.range(0, 2) == 0 {
+                    tile = tile.with_extent(d, rng.range(1, e));
+                }
+            }
+            parent = tile;
+            LevelConfig {
+                order: orders[rng.range(0, orders.len())],
+                tile,
+            }
+        })
+        .collect();
+    TilingConfig { levels }
+}
+
+/// Which refetch branches a boundary exercises: per data type, `p` is
+/// the innermost relevant multi-trip loop, at slot `k` of level `L`; each
+/// irrelevant dimension single-trip at `L` is recorded as (`L`, its slot
+/// comes before `k`).
+fn refetch_branches(cfg: &TilingConfig, shape: &ConvShape, b: usize) -> Vec<(usize, bool)> {
+    let counts = Dim::ALL.map(|d| {
+        let tiles: Vec<usize> = cfg.levels[..=b].iter().map(|l| l.tile.extent(d)).collect();
+        DimPieces::build(DimSpec::of(shape, d).out_extent, &tiles).counts
+    });
+    let multi = |d: Dim, l: usize| {
+        let c = &counts[d as usize];
+        c[l] > if l == 0 { 1 } else { c[l - 1] }
+    };
+    let types: [fn(Dim) -> bool; 3] = [
+        Dim::input_relevant,
+        Dim::weight_relevant,
+        Dim::psum_relevant,
+    ];
+    let mut out = Vec::new();
+    for relevant in types {
+        let p = (0..=b).rev().find_map(|l| {
+            let order = cfg.levels[l].order.dims();
+            (0..5)
+                .rev()
+                .find(|&k| relevant(order[k]) && multi(order[k], l))
+                .map(|k| (l, k))
+        });
+        if let Some((l, k)) = p {
+            for d in Dim::ALL.into_iter().filter(|&d| !relevant(d)) {
+                if !multi(d, l) {
+                    out.push((l, cfg.levels[l].order.position(d) < k));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The closed-form rules equal the `boundary_traffic` scan on every
+/// boundary of 1–6-level chains whose levels mix single- and multi-trip
+/// loops in random orders, so single-trip loops fall before and after
+/// `p` at every level (asserted). Each shape's configurations
+/// share one `ChainSummaries`, whose whole-layer traffic also equals
+/// `layer_traffic` on fresh summaries.
+#[test]
+fn closed_form_rules_match_the_scan() {
+    let mut rng = Rng::new(0xC105);
+    let mut branches = std::collections::HashSet::new();
+    for _ in 0..64 {
+        let shape = arb_shape(&mut rng);
+        let mut context = ChainSummaries::new(&shape);
+        for _ in 0..8 {
+            let cfg = arb_trip_config(&mut rng, &shape);
+            let orders: Vec<LoopOrder> = cfg.levels.iter().map(|l| l.order).collect();
+            for b in 0..cfg.levels.len() {
+                let want = boundary_traffic(&shape, &cfg, b);
+                let mut tiles = Vec::new();
+                let chains = Dim::ALL.map(|d| {
+                    tiles.clear();
+                    tiles.extend(cfg.levels[..=b].iter().map(|l| l.tile.extent(d)));
+                    context.chain(d, &tiles)
+                });
+                assert_eq!(
+                    context.boundary(&orders[..=b], chains),
+                    want,
+                    "{shape:?} {cfg:?} boundary {b}"
+                );
+                branches.extend(refetch_branches(&cfg, &shape, b));
+            }
+            assert_eq!(context.layer_traffic(&cfg), layer_traffic(&shape, &cfg));
+        }
+    }
+    for level in 0..6 {
+        for before in [true, false] {
+            assert!(
+                branches.contains(&(level, before)),
+                "no single-trip loop {} p at level {level}",
+                if before { "before" } else { "after" },
             );
         }
+    }
+}
+
+/// One context returns the same summary for equal chains and builds each
+/// distinct chain once, whatever the order of requests.
+#[test]
+fn chain_summaries_build_each_chain_once() {
+    let mut rng = Rng::new(0x5A4E);
+    for _ in 0..32 {
+        let shape = arb_shape(&mut rng);
+        let mut context = ChainSummaries::new(&shape);
+        let mut seen = std::collections::HashMap::new();
+        for _ in 0..64 {
+            let d = Dim::ALL[rng.range(0, 5)];
+            let spec = DimSpec::of(&shape, d);
+            let tiles: Vec<usize> = (0..rng.range(1, 4))
+                .map(|_| rng.range(1, spec.out_extent.min(3) + 1))
+                .collect();
+            let id = context.chain(d, &tiles);
+            assert_eq!(*seen.entry((d, tiles.clone())).or_insert(id), id);
+            let fresh = DimSummary::new(d, &spec, &tiles);
+            for depth in 0..tiles.len() {
+                assert_eq!(context.summary(id).count_at(depth), fresh.count_at(depth));
+                assert_eq!(
+                    context.summary(id).input_sum_full(depth),
+                    fresh.input_sum_full(depth)
+                );
+            }
+        }
+        assert_eq!(context.built(), seen.len());
     }
 }

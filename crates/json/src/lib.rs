@@ -329,6 +329,7 @@ impl Value {
     /// Parse a JSON document (strict: one value, only trailing whitespace).
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -367,6 +368,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -473,58 +475,56 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash as one slice. Both are ASCII, so the run ends on a
+            // character boundary of the (already valid UTF-8) input.
             let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let plain = self
+                .text
+                .get(self.pos..self.pos + run)
+                .ok_or_else(|| self.err(ParseErrorKind::InvalidUtf8))?;
+            out.push_str(plain);
+            self.pos += run;
+            let Some(&b) = self.bytes.get(self.pos) else {
                 return Err(self.err(ParseErrorKind::UnterminatedString));
             };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err(ParseErrorKind::UnterminatedEscape));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err(ParseErrorKind::TruncatedUnicodeEscape))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err(ParseErrorKind::InvalidUnicodeEscape))?;
-                            self.pos += 4;
-                            // Reports never emit surrogate pairs; reject them.
-                            let ch = char::from_u32(code)
-                                .ok_or_else(|| self.err(ParseErrorKind::InvalidUnicodeScalar))?;
-                            out.push(ch);
-                        }
-                        _ => return Err(self.err(ParseErrorKind::UnknownEscape)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character. `rest` is nonempty, so
-                    // a successful decode always yields a first char.
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err(ParseErrorKind::InvalidUtf8))?;
-                    let Some(ch) = s.chars().next() else {
-                        return Err(self.err(ParseErrorKind::InvalidUtf8));
-                    };
+            self.pos += 1;
+            if b == b'"' {
+                return Ok(out);
+            }
+            // The run stopped at a backslash: one escape follows.
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err(self.err(ParseErrorKind::UnterminatedEscape));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err(ParseErrorKind::TruncatedUnicodeEscape))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| self.err(ParseErrorKind::InvalidUnicodeEscape))?;
+                    self.pos += 4;
+                    // Reports never emit surrogate pairs; reject them.
+                    let ch = char::from_u32(code)
+                        .ok_or_else(|| self.err(ParseErrorKind::InvalidUnicodeScalar))?;
                     out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
+                _ => return Err(self.err(ParseErrorKind::UnknownEscape)),
             }
         }
     }

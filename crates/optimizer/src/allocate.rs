@@ -8,13 +8,14 @@
 //! each with `f_reuse` — the ratio of buffer fills from above to the work
 //! they enable — and keeps the best that fits.
 
+use crate::space::order_signature;
 use morph_dataflow::arch::{ArchSpec, OnChipLevel};
 use morph_dataflow::config::{tile_bytes, LevelConfig, TilingConfig};
-use morph_dataflow::pieces::DimSpec;
-use morph_dataflow::traffic::{boundary_traffic, summary_traffic, BoundaryTraffic, DimSummary};
+use morph_dataflow::traffic::{boundary_traffic, BoundaryTraffic, ChainId, ChainSummaries};
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
+use std::collections::HashMap;
 
 /// Fit rule for candidate tiles at a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,43 +63,52 @@ pub fn tile_fits(
 }
 
 /// `f_reuse` for a candidate sub-tile: MACCs enabled per byte filled into
-/// the level (higher is better). Fill bytes come from the generic traffic
-/// engine run on the partially-built hierarchy.
+/// the level (higher is better). Fill bytes come from the reference
+/// traffic scan ([`boundary_traffic`]) run on the partially-built
+/// hierarchy.
 pub fn f_reuse(shape: &ConvShape, levels: &[LevelConfig]) -> f64 {
     let cfg = TilingConfig {
         levels: levels.to_vec(),
     };
-    reuse_score(shape, &boundary_traffic(shape, &cfg, levels.len() - 1))
+    reuse_score(
+        shape.maccs(),
+        &boundary_traffic(shape, &cfg, levels.len() - 1),
+    )
 }
 
 /// `f_reuse` of a level whose fill traffic is `fill`.
-fn reuse_score(shape: &ConvShape, fill: &BoundaryTraffic) -> f64 {
-    shape.maccs() as f64 / fill.total().max(1) as f64
+fn reuse_score(maccs: u64, fill: &BoundaryTraffic) -> f64 {
+    maccs as f64 / fill.total().max(1) as f64
 }
 
-/// Corner candidates for one level: each dimension set to min (1), mid
-/// (half the parent), or max (the parent extent).
-fn corner_candidates(parent: &Tile) -> Vec<Tile> {
+/// Each dimension's corner extents below `parent`, in [`Dim::ALL`]
+/// order: min (1) and max (the parent extent). The paper's corner set is
+/// min/max per dimension (2^D); H and F get the halfway point too, since
+/// they dominate halo behaviour.
+fn corner_extents(parent: &Tile) -> [Vec<usize>; 5] {
+    Dim::ALL.map(|d| {
+        let e = parent.extent(d);
+        let mut v = match d {
+            Dim::H | Dim::F => vec![1, e.div_ceil(2), e],
+            _ => vec![1, e],
+        };
+        v.dedup();
+        v
+    })
+}
+
+/// The corner candidates: the product of each dimension's corner
+/// extents, enumerated `h, w, f, c, k` outermost first, each with the
+/// index of its extent per dimension ([`Dim::ALL`] order).
+fn corner_candidates(extents: &[Vec<usize>; 5]) -> Vec<(Tile, [usize; 5])> {
+    let [ws, hs, cs, ks, fs] = extents;
     let mut out = Vec::new();
-    // The paper's corner set is min/max per dimension (2^D); H and F get
-    // the halfway point too, since they dominate halo behaviour.
-    let corners = |e: usize| {
-        let mut v = vec![1, e];
-        v.dedup();
-        v
-    };
-    let choices = |e: usize| {
-        let mut v = vec![1, e.div_ceil(2), e];
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    for &h in &choices(parent.h) {
-        for &w in &corners(parent.w) {
-            for &f in &choices(parent.f) {
-                for &c in &corners(parent.c) {
-                    for &k in &corners(parent.k) {
-                        out.push(Tile { h, w, f, c, k });
+    for (ih, &h) in hs.iter().enumerate() {
+        for (iw, &w) in ws.iter().enumerate() {
+            for (jf, &f) in fs.iter().enumerate() {
+                for (ic, &c) in cs.iter().enumerate() {
+                    for (ik, &k) in ks.iter().enumerate() {
+                        out.push((Tile { h, w, f, c, k }, [iw, ih, ic, ik, jf]));
                     }
                 }
             }
@@ -107,60 +117,127 @@ fn corner_candidates(parent: &Tile) -> Vec<Tile> {
     out
 }
 
+/// A fitting corner of a [`CornerSet`].
+struct Corner {
+    tile: Tile,
+    /// Its element count (larger tiles win `f_reuse` ties).
+    size: u64,
+    /// Each dimension's chain: the parents' extents plus the corner's.
+    chains: [ChainId; 5],
+    /// Its group in [`CornerSet::groups`] and its slot there.
+    group: usize,
+    slot: usize,
+}
+
 /// The order-free half of one level's allocation (§V-C): the corners of
-/// the innermost parent tile that fit the level, and each dimension's
-/// chain summaries. Nothing here reads a loop order, so one set serves
-/// every order [`CornerSet::pick`] is asked about.
+/// the innermost parent tile that fit the level, with each dimension's
+/// chain drawn from a [`ChainSummaries`]. Nothing here reads a loop
+/// order, so one set serves every order [`CornerSet::pick`] is asked
+/// about.
 ///
-/// The corners are a product of at most three extents per dimension, so
-/// each dimension's tile chain (the parents' extents plus one corner
-/// extent) is summarized once and every corner's fill traffic is scored
-/// from five summaries.
+/// The transfer rules read a loop only when it has more than one trip, so
+/// a corner's `f_reuse` under some orders depends only on each level's
+/// [`order_signature`] over the corner's multi-trip dimensions. The
+/// parent levels' multi-trip dimensions are the same for every corner;
+/// this level's split the corners into groups. Each group's scores are
+/// computed once per signature and remembered.
 pub struct CornerSet {
     /// Levels in a chain: the parents plus this level.
     depth: usize,
-    /// Fitting corners in enumeration order: the tile, its size, and the
-    /// index of each dimension's chain in `chains`.
-    fitting: Vec<(Tile, u64, [usize; 5])>,
-    /// Per dimension: (corner extent, summary of its chain), one entry per
-    /// distinct extent among the fitting corners.
-    chains: [Vec<(usize, DimSummary)>; 5],
+    /// Multi-trip dimensions of each parent level, outermost first.
+    upper: Vec<u8>,
+    /// Fitting corners in enumeration order.
+    corners: Vec<Corner>,
+    /// Per group: this level's multi-trip dimensions, shared by its
+    /// corners, and the corners' indices in enumeration order.
+    groups: Vec<(u8, Vec<usize>)>,
+    /// The parent levels' signature lists seen, numbered in order. Few
+    /// are distinct, so the memo below is keyed by their number: keying
+    /// it by the whole list gives every entry a heap key to compare.
+    classes: HashMap<Vec<u16>, usize>,
+    /// Per (parent class, this level's signature): where its group's
+    /// corner scores start in `scores`, in the group's order. This
+    /// level's signature names its multi-trip dimensions, so it names
+    /// the group.
+    memo: HashMap<(usize, u16), usize>,
+    scores: Vec<f64>,
+    /// Scratch for [`CornerSet::pick`]: the parents' signature list, and
+    /// where each group's scores start.
+    key: Vec<u16>,
+    starts: Vec<usize>,
 }
 
 impl CornerSet {
     /// The corners for `level` below the parent tiles `upper` (outermost
-    /// first; an empty chain stands for the whole layer).
+    /// first; an empty chain stands for the whole layer) of the shape
+    /// `chains` summarizes.
     pub fn new(
-        shape: &ConvShape,
+        chains: &mut ChainSummaries,
         upper: &[Tile],
         level: OnChipLevel,
         arch: &ArchSpec,
         policy: FitPolicy,
     ) -> Self {
-        let parent = upper.last().copied().unwrap_or_else(|| Tile::whole(shape));
-        let mut chains: [Vec<(usize, DimSummary)>; 5] = Default::default();
-        let mut fitting = Vec::new();
-        for cand in corner_candidates(&parent) {
-            if !tile_fits(shape, &cand, level, arch, policy) {
+        let shape = *chains.shape();
+        let parent = upper.last().copied().unwrap_or_else(|| Tile::whole(&shape));
+        let depth = upper.len();
+        let mut set = Self {
+            depth: depth + 1,
+            upper: Vec::new(),
+            corners: Vec::new(),
+            groups: Vec::new(),
+            classes: HashMap::new(),
+            memo: HashMap::new(),
+            scores: Vec::new(),
+            key: Vec::new(),
+            starts: Vec::new(),
+        };
+        let extents = corner_extents(&parent);
+        // Each extent's chain, requested when a fitting corner first
+        // uses it.
+        let mut ids = extents.each_ref().map(|e| vec![None; e.len()]);
+        let mut tiles = Vec::with_capacity(depth + 1);
+        for (tile, at) in corner_candidates(&extents) {
+            if !tile_fits(&shape, &tile, level, arch, policy) {
                 continue;
             }
-            let index = Dim::ALL.map(|d| {
-                let e = cand.extent(d);
-                let chain = &mut chains[d as usize];
-                chain.iter().position(|&(x, _)| x == e).unwrap_or_else(|| {
-                    let tiles: Vec<usize> = upper.iter().map(|t| t.extent(d)).chain([e]).collect();
-                    chain.push((e, DimSummary::new(d, &DimSpec::of(shape, d), &tiles)));
-                    chain.len() - 1
+            let corner_chains = Dim::ALL.map(|d| {
+                *ids[d as usize][at[d as usize]].get_or_insert_with(|| {
+                    tiles.clear();
+                    tiles.extend(upper.iter().map(|t| t.extent(d)));
+                    tiles.push(tile.extent(d));
+                    chains.chain(d, &tiles)
                 })
             });
-            let size = (cand.h * cand.w * cand.f * cand.c * cand.k) as u64;
-            fitting.push((cand, size, index));
+            if set.corners.is_empty() {
+                set.upper = (0..depth)
+                    .map(|l| chains.multi_trip(corner_chains, l))
+                    .collect();
+            }
+            let trips = chains.multi_trip(corner_chains, depth);
+            let group = match set.groups.iter().position(|(t, _)| *t == trips) {
+                Some(group) => group,
+                None => {
+                    set.groups.push((trips, Vec::new()));
+                    set.groups.len() - 1
+                }
+            };
+            let members = &mut set.groups[group].1;
+            set.corners.push(Corner {
+                tile,
+                size: (tile.h * tile.w * tile.f * tile.c * tile.k) as u64,
+                chains: corner_chains,
+                group,
+                slot: members.len(),
+            });
+            members.push(set.corners.len() - 1);
         }
-        Self {
-            depth: upper.len() + 1,
-            fitting,
-            chains,
-        }
+        set
+    }
+
+    /// How many `f_reuse` scores this set has computed.
+    fn scored(&self) -> u64 {
+        self.scores.len() as u64
     }
 
     /// The fitting corner with the best `f_reuse` when the chain's levels
@@ -171,18 +248,50 @@ impl CornerSet {
     /// # Panics
     ///
     /// Panics unless `orders` has one order per level of the chain.
-    pub fn pick(&self, shape: &ConvShape, orders: &[LoopOrder]) -> Option<Tile> {
+    pub fn pick(&mut self, chains: &ChainSummaries, orders: &[LoopOrder]) -> Option<Tile> {
         assert_eq!(orders.len(), self.depth, "one loop order per level");
+        if self.corners.is_empty() {
+            return None;
+        }
+        let (last, parents) = orders.split_last()?;
+        self.key.clear();
+        self.key.extend(
+            parents
+                .iter()
+                .zip(&self.upper)
+                .map(|(&o, &trips)| order_signature(o, trips)),
+        );
+        let class = match self.classes.get(self.key.as_slice()) {
+            Some(&class) => class,
+            None => {
+                let class = self.classes.len();
+                self.classes.insert(self.key.clone(), class);
+                class
+            }
+        };
+        // Each group's scores under these orders, scored on first sight.
+        self.starts.clear();
+        for (trips, members) in &self.groups {
+            let key = (class, order_signature(*last, *trips));
+            let start = *self.memo.entry(key).or_insert_with(|| {
+                let start = self.scores.len();
+                self.scores.extend(members.iter().map(|&i| {
+                    let fill = chains.boundary(orders, self.corners[i].chains);
+                    reuse_score(chains.maccs(), &fill)
+                }));
+                start
+            });
+            self.starts.push(start);
+        }
         let mut best: Option<(f64, u64, Tile)> = None;
-        for &(cand, size, index) in &self.fitting {
-            let dims = Dim::ALL.map(|d| &self.chains[d as usize][index[d as usize]].1);
-            let score = reuse_score(shape, &summary_traffic(shape, orders, dims));
+        for c in &self.corners {
+            let score = self.scores[self.starts[c.group] + c.slot];
             let better = match &best {
                 None => true,
-                Some((s, sz, _)) => score > *s || (score == *s && size > *sz),
+                Some((s, sz, _)) => score > *s || (score == *s && c.size > *sz),
             };
             if better {
-                best = Some((score, size, cand));
+                best = Some((score, c.size, c.tile));
             }
         }
         best.map(|(_, _, t)| t)
@@ -204,15 +313,16 @@ pub fn allocate_level(
 ) -> Option<Tile> {
     let tiles: Vec<Tile> = upper.iter().map(|l| l.tile).collect();
     let orders: Vec<LoopOrder> = upper.iter().map(|l| l.order).chain([order]).collect();
-    CornerSet::new(shape, &tiles, level, arch, policy).pick(shape, &orders)
+    let mut chains = ChainSummaries::new(shape);
+    CornerSet::new(&mut chains, &tiles, level, arch, policy).pick(&chains, &orders)
 }
 
 /// Hierarchy allocation for the rows of one L2 tile — one (L1, L0) pick
 /// per inner order — sharing the order-free work between them: one L1
 /// [`CornerSet`] for the tile, and one L0 set per distinct L1 pick, each
-/// built on first use. [`allocate_hierarchy`] is one row of it.
+/// built on first use, with their chains drawn from the caller's
+/// [`ChainSummaries`]. [`allocate_hierarchy`] is one row of it.
 pub struct RowAllocator<'a> {
-    shape: &'a ConvShape,
     arch: &'a ArchSpec,
     policy: FitPolicy,
     outer: LoopOrder,
@@ -223,15 +333,8 @@ pub struct RowAllocator<'a> {
 
 impl<'a> RowAllocator<'a> {
     /// The rows below `l2`, whose level runs in the `outer` order.
-    pub fn new(
-        shape: &'a ConvShape,
-        outer: LoopOrder,
-        l2: Tile,
-        arch: &'a ArchSpec,
-        policy: FitPolicy,
-    ) -> Self {
+    pub fn new(outer: LoopOrder, l2: Tile, arch: &'a ArchSpec, policy: FitPolicy) -> Self {
         Self {
-            shape,
             arch,
             policy,
             outer,
@@ -242,23 +345,35 @@ impl<'a> RowAllocator<'a> {
     }
 
     /// The L1 then L0 tile allocated with the `inner` order (`None` when a
-    /// level has no fitting corner); [`assemble_hierarchy`] completes them.
-    pub fn pick(&mut self, inner: LoopOrder) -> Option<(Tile, Tile)> {
-        let (shape, arch, policy, l2) = (self.shape, self.arch, self.policy, self.l2);
+    /// level has no fitting corner), for the shape `chains` summarizes;
+    /// [`assemble_hierarchy`] completes them.
+    pub fn pick(&mut self, chains: &mut ChainSummaries, inner: LoopOrder) -> Option<(Tile, Tile)> {
+        let (arch, policy, l2) = (self.arch, self.policy, self.l2);
         let l1 = self
             .l1_set
-            .get_or_insert_with(|| CornerSet::new(shape, &[l2], OnChipLevel::L1, arch, policy))
-            .pick(shape, &[self.outer, inner])?;
+            .get_or_insert_with(|| CornerSet::new(chains, &[l2], OnChipLevel::L1, arch, policy))
+            .pick(chains, &[self.outer, inner])?;
         let i = match self.l0_sets.iter().position(|(t, _)| *t == l1) {
             Some(i) => i,
             None => {
-                let set = CornerSet::new(shape, &[l2, l1], OnChipLevel::L0, arch, policy);
+                let set = CornerSet::new(chains, &[l2, l1], OnChipLevel::L0, arch, policy);
                 self.l0_sets.push((l1, set));
                 self.l0_sets.len() - 1
             }
         };
-        let l0 = self.l0_sets[i].1.pick(shape, &[self.outer, inner, inner])?;
+        let l0 = self.l0_sets[i]
+            .1
+            .pick(chains, &[self.outer, inner, inner])?;
         Some((l1, l0))
+    }
+
+    /// How many `f_reuse` scores this allocator's corner sets computed.
+    pub fn corner_scores(&self) -> u64 {
+        self.l1_set
+            .iter()
+            .chain(self.l0_sets.iter().map(|(_, s)| s))
+            .map(CornerSet::scored)
+            .sum()
     }
 }
 
@@ -303,7 +418,8 @@ pub fn allocate_hierarchy(
     arch: &ArchSpec,
     policy: FitPolicy,
 ) -> Option<TilingConfig> {
-    let (l1, l0) = RowAllocator::new(shape, outer, l2, arch, policy).pick(inner)?;
+    let mut chains = ChainSummaries::new(shape);
+    let (l1, l0) = RowAllocator::new(outer, l2, arch, policy).pick(&mut chains, inner)?;
     assemble_hierarchy(shape, outer, inner, [l2, l1, l0], arch)
 }
 

@@ -14,8 +14,8 @@
 //! [`SearchStats`] are memoized in a [`DecisionStore`] that can be shared
 //! across cluster-budgeted optimizer variants and with the session layer
 //! driving them. The searches of one cluster-budget sweep share their
-//! budget-independent work (L2-tile groups, hierarchy allocations)
-//! through a [`SweepState`]. Configurations can be persisted to a
+//! budget-independent work (L2-tile groups, hierarchy allocations, tile
+//! chain summaries) through a [`SweepState`]. Configurations can be persisted to a
 //! plain-text schedule file and recalled.
 
 pub mod allocate;

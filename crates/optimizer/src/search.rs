@@ -20,8 +20,9 @@
 //! into the shared [`DecisionStore`].
 //!
 //! The searches of one budget sweep share their budget-independent work
-//! through a [`SweepState`]: the L2-tile groups of the stream and every
-//! row's hierarchy allocation are built once per sweep, not per budget.
+//! through a [`SweepState`]: the L2-tile groups of the stream, every
+//! row's hierarchy allocation and every tile chain's summary are built
+//! once per sweep, not per budget.
 
 use crate::allocate::{assemble_hierarchy, tile_fits, FitPolicy, RowAllocator};
 use crate::space::{
@@ -32,8 +33,7 @@ use crate::store::{DecisionStore, SearchStats, StoredDecision};
 use morph_dataflow::arch::{ArchSpec, OnChipLevel};
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::{best_parallelism, layer_cycles, tile_grid, Parallelism};
-use morph_dataflow::pieces::DimSpec;
-use morph_dataflow::traffic::{layer_traffic, summary_traffic, DimSummary};
+use morph_dataflow::traffic::{layer_traffic, ChainSummaries};
 use morph_energy::{EnergyModel, EnergyReport};
 use morph_nets::Network;
 use morph_tensor::order::{Dim, LoopOrder};
@@ -126,6 +126,15 @@ enum Row {
     Tiles(Tile, Tile),
 }
 
+/// The trace-only work counters of one search.
+#[derive(Default)]
+struct Work {
+    allocated: u64,
+    rows_shared: u64,
+    par_grids: u64,
+    corner_scores: u64,
+}
+
 /// What a [`SweepState`]'s groups and rows are built from: the shape, the
 /// fit policy, the architecture apart from its cluster count, the effort
 /// and the order restrictions.
@@ -139,19 +148,23 @@ struct StreamInputs {
     inner_orders: Option<Vec<LoopOrder>>,
 }
 
-/// The candidate stream a [`SweepState`] shares: its L2-tile groups and,
-/// per group, its rows' allocations by inner order (empty until a search
-/// first visits the group, so unvisited groups cost no row storage).
+/// The candidate stream a [`SweepState`] shares: its L2-tile groups,
+/// per group its rows' allocations by inner order (empty until a search
+/// first visits the group, so unvisited groups cost no row storage), and
+/// the shape's chain summaries, which the groups' DRAM bytes, the rows'
+/// corner sets and every costed candidate draw from.
 struct SharedStream {
     inputs: StreamInputs,
     groups: Vec<TileGroup>,
     rows: Vec<Vec<Row>>,
+    chains: ChainSummaries,
 }
 
 /// The budget-independent work of one budget sweep, shared by its
 /// searches through [`Optimizer::search_layer_in`]: the neighbour seed,
-/// each L2 tile's deduplicated outer orders and exact DRAM bytes, and each
-/// (L2 tile, inner order) row's allocated (L1, L0) tiles. None of it reads
+/// each L2 tile's deduplicated outer orders and exact DRAM bytes, each
+/// (L2 tile, inner order) row's allocated (L1, L0) tiles, and the
+/// shape's tile-chain summaries ([`ChainSummaries`]). None of it reads
 /// the cluster count or the objective, so every budget and objective of a
 /// shape can share it.
 ///
@@ -376,37 +389,37 @@ impl Optimizer {
         self.run_search(shape, objective, &mut SweepState::default(), false)
     }
 
-    /// The L2-tile groups of this optimizer's candidate stream for a
-    /// shape, in original enumeration order. The DRAM boundary's traffic
-    /// depends only on the outermost level, so each (L2 tile, outer order)
-    /// pair's DRAM bytes are exact: scored from the tile's five one-level
-    /// chain summaries, far cheaper than a full costing.
+    /// The L2-tile groups of this optimizer's candidate stream for the
+    /// shape `chains` summarizes, in original enumeration order. The DRAM
+    /// boundary's traffic depends only on the outermost level, so each (L2
+    /// tile, outer order) pair's DRAM bytes are exact: scored from the
+    /// tile's five one-level chain summaries, far cheaper than a full
+    /// costing.
     fn tile_groups(
         &self,
-        shape: &ConvShape,
+        chains: &mut ChainSummaries,
         outer_cands: &[LoopOrder],
         n_inner: u64,
     ) -> Vec<TileGroup> {
+        let shape = *chains.shape();
         let arch = &self.model.arch;
-        let mut l2_cands: Vec<_> = l2_tile_candidates(shape, arch, self.effort)
+        let mut l2_cands: Vec<_> = l2_tile_candidates(&shape, arch, self.effort)
             .into_iter()
-            .filter(|t| tile_fits(shape, t, OnChipLevel::L2, arch, self.policy))
+            .filter(|t| tile_fits(&shape, t, OnChipLevel::L2, arch, self.policy))
             .collect();
         if l2_cands.is_empty() {
             // Fall back to the minimum tile so every layer is schedulable.
             l2_cands.push(Tile::unit());
         }
-        let specs = Dim::ALL.map(|d| DimSpec::of(shape, d));
         let mut offset = 0u64;
         l2_cands
             .into_iter()
             .map(|l2| {
-                let outers = dedup_orders(outer_cands, shape, &l2);
-                let dims =
-                    Dim::ALL.map(|d| DimSummary::new(d, &specs[d as usize], &[l2.extent(d)]));
+                let dims = Dim::ALL.map(|d| chains.chain(d, &[l2.extent(d)]));
+                let outers = dedup_orders(outer_cands, chains.multi_trip(dims, 0));
                 let dram_bytes = outers
                     .iter()
-                    .map(|&outer| summary_traffic(shape, &[outer], dims.each_ref()).total())
+                    .map(|&outer| chains.boundary(&[outer], dims).total())
                     .collect();
                 let group = TileGroup {
                     l2,
@@ -517,19 +530,31 @@ impl Optimizer {
             inner_orders: self.inner_orders.clone(),
         };
         let SweepState { seed, stream } = state;
-        if stream.as_ref().is_none_or(|s| s.inputs != inputs) {
-            let outer_cands = self
-                .outer_orders
-                .clone()
-                .unwrap_or_else(|| outer_order_candidates(self.effort));
-            let groups = self.tile_groups(shape, &outer_cands, n_inner as u64);
-            *stream = Some(SharedStream {
-                rows: vec![Vec::new(); groups.len()],
-                inputs,
-                groups,
-            });
+        // Chain summaries this search finds already built (trace only).
+        let mut summaries_before = 0;
+        match stream {
+            Some(s) if s.inputs == inputs => summaries_before = s.chains.built(),
+            _ => {
+                let outer_cands = self
+                    .outer_orders
+                    .clone()
+                    .unwrap_or_else(|| outer_order_candidates(self.effort));
+                let mut chains = ChainSummaries::new(shape);
+                let groups = self.tile_groups(&mut chains, &outer_cands, n_inner as u64);
+                *stream = Some(SharedStream {
+                    rows: vec![Vec::new(); groups.len()],
+                    inputs,
+                    groups,
+                    chains,
+                });
+            }
         }
-        let SharedStream { groups, rows, .. } = stream.as_mut().expect("stream built above");
+        let SharedStream {
+            groups,
+            rows,
+            chains,
+            ..
+        } = stream.as_mut().expect("stream built above");
 
         let maccs = shape.maccs();
         // MACC/parallelism roofline: no mapping finishes faster than the
@@ -586,18 +611,20 @@ impl Optimizer {
         // (L2 tile, inner order) rows share: score each grid once.
         let mut grid_par: HashMap<(Tile, Tile), (Parallelism, u64)> = HashMap::new();
         // Trace-only work counters: hierarchy allocations, rows served
-        // from the state instead, and tile grids scored for parallelism —
-        // the steps a row pays before its bound.
-        let mut allocated = 0u64;
-        let mut rows_shared = 0u64;
-        let mut par_grids = 0u64;
-        let emit = |stats: &SearchStats, allocated: u64, rows_shared: u64, par_grids: u64| {
+        // from the state instead, tile grids scored for parallelism, and
+        // the `f_reuse` corner scores the allocations computed — the steps
+        // a row pays before its bound — plus the chain summaries built.
+        let mut work = Work::default();
+        let emit = |stats: &SearchStats, work: &Work, chains: &ChainSummaries| {
             let t = stats.bound_pruned + stats.costed;
             rec.counter(&track, "bound_pruned", t, stats.bound_pruned);
             rec.counter(&track, "costed", t, stats.costed);
-            rec.counter(&track, "allocated", t, allocated);
-            rec.counter(&track, "rows_shared", t, rows_shared);
-            rec.counter(&track, "par_grids", t, par_grids);
+            rec.counter(&track, "allocated", t, work.allocated);
+            rec.counter(&track, "rows_shared", t, work.rows_shared);
+            rec.counter(&track, "par_grids", t, work.par_grids);
+            rec.counter(&track, "corner_scores", t, work.corner_scores);
+            let summaries = chains.built() - summaries_before;
+            rec.counter(&track, "summaries", t, summaries as u64);
         };
         let base_outer = LoopOrder::base_outer();
 
@@ -611,26 +638,26 @@ impl Optimizer {
                     .map(|&i| groups[i].outers.len() as u64 * n_inner as u64)
                     .sum::<u64>();
                 if traced {
-                    emit(&stats, allocated, rows_shared, par_grids);
+                    emit(&stats, &work, chains);
                 }
                 break;
             }
             // The sub-tile choice is driven by the inner order; the outer
             // order is swapped in afterwards. Each row is allocated once
             // per state, sharing its corner sets with the group's others.
-            let mut alloc = RowAllocator::new(shape, base_outer, g.l2, arch, self.policy);
+            let mut alloc = RowAllocator::new(base_outer, g.l2, arch, self.policy);
             let g_rows = &mut rows[gi];
             if g_rows.is_empty() {
                 g_rows.resize(n_inner, Row::Unvisited);
             }
             for ((j, inner), row) in inner_cands.iter().enumerate().zip(g_rows) {
                 if let Row::Unvisited = row {
-                    allocated += 1;
+                    work.allocated += 1;
                     *row = alloc
-                        .pick(*inner)
+                        .pick(chains, *inner)
                         .map_or(Row::Empty, |(l1, l0)| Row::Tiles(l1, l0));
                 } else {
-                    rows_shared += 1;
+                    work.rows_shared += 1;
                 }
                 let Row::Tiles(l1, l0) = *row else {
                     continue;
@@ -644,7 +671,7 @@ impl Optimizer {
                 // on the tile grid, not the loop orders, so hoist it out of
                 // the outer-order loop.
                 let (par, compute) = *grid_par.entry(tile_grid(&base_cfg)).or_insert_with(|| {
-                    par_grids += 1;
+                    work.par_grids += 1;
                     best_parallelism(shape, &base_cfg, &pars, arch)
                         .expect("at least one parallelism candidate")
                 });
@@ -678,7 +705,7 @@ impl Optimizer {
                     stats.costed += 1;
                     let mut cfg = base_cfg.clone();
                     cfg.levels[0].order = *outer;
-                    let mut traffic = layer_traffic(shape, &cfg);
+                    let mut traffic = chains.layer_traffic(&cfg);
                     morph_dataflow::traffic::apply_multicast(
                         &mut traffic,
                         par.hp,
@@ -710,16 +737,17 @@ impl Optimizer {
                     }
                 }
             }
+            work.corner_scores += alloc.corner_scores();
             // Stream the prune/cost split once per visited tile group —
             // bounded by the group count, not the candidate count.
             if traced {
-                emit(&stats, allocated, rows_shared, par_grids);
+                emit(&stats, &work, chains);
             }
         }
         if traced {
             let t = stats.bound_pruned + stats.costed;
             rec.counter(&track, "enumerated", t, stats.enumerated);
-            emit(&stats, allocated, rows_shared, par_grids);
+            emit(&stats, &work, chains);
             rec.span_end(&track, "search", t);
         }
         let decision = best.expect("search space never empty").2;
@@ -871,13 +899,14 @@ mod tests {
 
     /// The streaming trace counters close exactly on the returned
     /// [`SearchStats`]: the final `enumerated` / `bound_pruned` / `costed`
-    /// samples on the search track equal the stored stats, the `allocated`
-    /// and `par_grids` work counters are monotone and nonzero, a cold
-    /// search shares no rows, the span is balanced over `[0, visited]`,
-    /// and attaching a recorder changes nothing about the selected
-    /// decision. On a warm state, `allocated + rows_shared` still counts
-    /// every visited row: it equals the allocations of the same search on
-    /// a fresh state with the same seed.
+    /// samples on the search track equal the stored stats, the
+    /// `allocated`, `par_grids`, `summaries` and `corner_scores` work
+    /// counters are monotone and nonzero, a cold search shares no rows,
+    /// the span is balanced over `[0, visited]`, and attaching a recorder
+    /// changes nothing about the selected decision. On a warm state,
+    /// `allocated + rows_shared` still counts every visited row: it equals
+    /// the allocations of the same search on a fresh state with the same
+    /// seed, which builds more chain summaries than the warm search.
     #[test]
     fn trace_counters_close_on_search_stats() {
         use morph_trace::{Phase, TraceBuffer};
@@ -917,6 +946,8 @@ mod tests {
         assert_eq!(last["rows_shared"], 0);
         assert!(last["par_grids"] > 0);
         assert!(last["par_grids"] <= last["allocated"]);
+        assert!(last["summaries"] > 0);
+        assert!(last["corner_scores"] > 0);
 
         // One balanced span over the candidate-index clock, plus at least
         // one incumbent-improvement instant (the search found something).
@@ -961,11 +992,13 @@ mod tests {
             (
                 last["allocated"],
                 last["rows_shared"],
+                last["summaries"],
                 opt.search_stats(&sh, Objective::Energy),
             )
         };
-        let (warm_allocated, warm_shared, warm_stats) = run(&mut state);
-        let (cold_allocated, cold_shared, cold_stats) = run(&mut SweepState::with_seed(d_half));
+        let (warm_allocated, warm_shared, warm_summaries, warm_stats) = run(&mut state);
+        let (cold_allocated, cold_shared, cold_summaries, cold_stats) =
+            run(&mut SweepState::with_seed(d_half));
         assert_eq!(cold_shared, 0);
         assert!(
             warm_shared > 0,
@@ -973,6 +1006,10 @@ mod tests {
         );
         assert!(warm_allocated < cold_allocated);
         assert_eq!(warm_allocated + warm_shared, cold_allocated);
+        assert!(
+            warm_summaries < cold_summaries,
+            "warm {warm_summaries} vs cold {cold_summaries} summaries built"
+        );
         assert_eq!(warm_stats, cold_stats);
     }
 

@@ -9,7 +9,7 @@
 
 use morph_dataflow::arch::ArchSpec;
 use morph_dataflow::perf::Parallelism;
-use morph_tensor::order::{Dim, LoopOrder};
+use morph_tensor::order::LoopOrder;
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
 
@@ -79,24 +79,28 @@ pub fn l2_tile_candidates(shape: &ConvShape, arch: &ArchSpec, effort: Effort) ->
     out
 }
 
-/// Canonical signature of a loop order given a tile: the subsequence of
-/// dimensions with more than one trip. Orders with equal signatures
-/// produce identical traffic.
-pub fn order_signature(order: &LoopOrder, shape: &ConvShape, tile: &Tile) -> Vec<Dim> {
-    let whole = Tile::whole(shape);
+/// Canonical signature of a loop order at one level: the subsequence of
+/// its dimensions whose bit (`1 << d as usize`) is set in `multi_trip`,
+/// the dimensions whose loop has more than one trip there, packed three
+/// bits per dimension (`d as u16 + 1`), outermost in the high bits.
+/// Single-trip loops never refetch (§II-E), so orders with equal
+/// signatures at every level produce identical traffic.
+pub fn order_signature(order: LoopOrder, multi_trip: u8) -> u16 {
     order
         .dims()
         .into_iter()
-        .filter(|&d| tile.extent(d) < whole.extent(d))
-        .collect()
+        .filter(|&d| multi_trip & (1 << d as usize) != 0)
+        .fold(0, |sig, d| sig << 3 | (d as u16 + 1))
 }
 
-/// Deduplicate loop orders by their signature for a given tile.
-pub fn dedup_orders(orders: &[LoopOrder], shape: &ConvShape, tile: &Tile) -> Vec<LoopOrder> {
+/// Deduplicate loop orders by their [`order_signature`] over the
+/// `multi_trip` dimensions of the level they run. The first order of
+/// each class is kept.
+pub fn dedup_orders(orders: &[LoopOrder], multi_trip: u8) -> Vec<LoopOrder> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for &o in orders {
-        if seen.insert(order_signature(&o, shape, tile)) {
+        if seen.insert(order_signature(o, multi_trip)) {
             out.push(o);
         }
     }
@@ -156,6 +160,8 @@ pub fn parallelism_candidates(arch: &ArchSpec) -> Vec<Parallelism> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morph_dataflow::traffic::ChainSummaries;
+    use morph_tensor::order::Dim;
 
     fn layer() -> ConvShape {
         ConvShape::new_3d(28, 28, 8, 128, 256, 3, 3, 3).with_pad(1, 1)
@@ -182,23 +188,83 @@ mod tests {
         assert!(thorough > fast);
     }
 
+    /// The subsequence of `order`'s dimensions tiled below the layer:
+    /// the signature as a list, the reference for the packed form.
+    fn signature_list(order: LoopOrder, shape: &ConvShape, tile: &Tile) -> Vec<Dim> {
+        let whole = Tile::whole(shape);
+        order
+            .dims()
+            .into_iter()
+            .filter(|&d| tile.extent(d) < whole.extent(d))
+            .collect()
+    }
+
+    /// The multi-trip mask of `tile` at the outermost level, from its
+    /// one-level chain summaries as the search takes it, checked against
+    /// the dimensions the tile splits.
+    fn outer_mask(shape: &ConvShape, tile: &Tile) -> u8 {
+        let mut chains = ChainSummaries::new(shape);
+        let ids = Dim::ALL.map(|d| chains.chain(d, &[tile.extent(d)]));
+        let whole = Tile::whole(shape);
+        let tiled = Dim::ALL
+            .into_iter()
+            .filter(|&d| tile.extent(d) < whole.extent(d))
+            .fold(0, |mask, d| mask | 1 << d as usize);
+        assert_eq!(chains.multi_trip(ids, 0), tiled, "{tile:?}");
+        tiled
+    }
+
+    /// Orders collapse by the dimensions their tile splits. The packed
+    /// signature partitions all 120 orders exactly as the list form does,
+    /// on hand-picked and random tiles, and `dedup_orders` keeps the first
+    /// order of each class.
     #[test]
     fn signature_collapses_untiled_dims() {
         let sh = layer();
         let whole = Tile::whole(&sh);
         // Untiled tile: every order has the empty signature.
         let orders = LoopOrder::all();
-        let dedup = dedup_orders(&orders, &sh, &whole);
+        let dedup = dedup_orders(&orders, outer_mask(&sh, &whole));
         assert_eq!(dedup.len(), 1);
         // Tiling only K: orders differ only in K's relative position among
         // multi-trip dims → exactly one class again (only K multi-trip).
         let kt = whole.with_extent(Dim::K, 64);
-        let dedup_k = dedup_orders(&orders, &sh, &kt);
+        let dedup_k = dedup_orders(&orders, outer_mask(&sh, &kt));
         assert_eq!(dedup_k.len(), 1);
         // Tiling K and C: 2 distinct relative orders.
         let kc = kt.with_extent(Dim::C, 32);
-        let dedup_kc = dedup_orders(&orders, &sh, &kc);
+        let dedup_kc = dedup_orders(&orders, outer_mask(&sh, &kc));
         assert_eq!(dedup_kc.len(), 2);
+
+        let mut rng = morph_tensor::rng::XorShift::new(0x516E);
+        let mut tiles = vec![whole, kt, kc];
+        for _ in 0..32 {
+            let mut t = whole;
+            for d in Dim::ALL {
+                t = t.with_extent(d, rng.range(1, whole.extent(d) + 1));
+            }
+            tiles.push(t);
+        }
+        for tile in &tiles {
+            let tiled = outer_mask(&sh, tile);
+            for a in &orders {
+                for b in &orders {
+                    assert_eq!(
+                        order_signature(*a, tiled) == order_signature(*b, tiled),
+                        signature_list(*a, &sh, tile) == signature_list(*b, &sh, tile),
+                        "{a} {b} {tile:?}"
+                    );
+                }
+            }
+            let mut want: Vec<LoopOrder> = Vec::new();
+            for &o in &orders {
+                let sig = signature_list(o, &sh, tile);
+                if want.iter().all(|&w| signature_list(w, &sh, tile) != sig) {
+                    want.push(o);
+                }
+            }
+            assert_eq!(dedup_orders(&orders, tiled), want, "{tile:?}");
+        }
     }
 
     #[test]

@@ -63,6 +63,40 @@ fn larger_space_never_worse() {
     }
 }
 
+/// Collapsing outer orders by their signature loses nothing: the full
+/// search's best energy is exactly the best of the searches restricted
+/// to each single outer order, which collapse nothing. The layers
+/// overflow L2, so its tiles split several dimensions and the outer
+/// order matters.
+#[test]
+fn order_dedup_loses_nothing() {
+    let mut rng = Rng::new(0xDED0);
+    let arch = ArchSpec::morph();
+    let orders = morph_optimizer::space::outer_order_candidates(Effort::Fast);
+    for _ in 0..16 {
+        let h = rng.range(14, 57);
+        let f = rng.range(1, 17);
+        let (c, k) = (rng.range(32, 257), rng.range(32, 257));
+        let shape = ConvShape::new_3d(h, h, f, c, k, 3, 3, 3.min(f)).with_pad(1, 1);
+        let energy = |opt: Optimizer| {
+            opt.search_layer(&shape, Objective::Energy)
+                .report
+                .total_pj()
+        };
+        let free = energy(Optimizer::morph(EnergyModel::morph(arch), Effort::Fast));
+        let best = orders
+            .iter()
+            .map(|&order| {
+                energy(
+                    Optimizer::morph(EnergyModel::morph(arch), Effort::Fast)
+                        .with_outer_orders(vec![order]),
+                )
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(free, best, "{shape:?}");
+    }
+}
+
 /// The performance objective never yields more cycles than the energy
 /// objective's pick.
 #[test]
