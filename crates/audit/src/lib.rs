@@ -30,7 +30,7 @@
 //!   buffer at least the depth of the longest parallel path it
 //!   shortcuts, or the join would throttle the pipeline below its
 //!   bottleneck rate.
-//! * [`report`] — a serialized `RunReport` document (schema v2–v6) is
+//! * [`report`] — a serialized `RunReport` document (schema v6) is
 //!   checked for internal consistency directly on the JSON tree: totals
 //!   vs per-layer sums, edge well-formedness, per-stage cluster shares
 //!   against the chip budget, Pareto points mutually non-dominated and

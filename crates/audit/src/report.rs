@@ -1,15 +1,14 @@
 //! Report-consistency audit: validate serialized `RunReport` documents
-//! (schema v2–v6) and the committed `baseline.json` perf-gate summary
+//! (schema v6) and the committed `baseline.json` perf-gate summary
 //! directly on the JSON tree.
 //!
 //! This pass deliberately does **not** go through `RunReport::from_json`
-//! — the deserializer is part of the code under audit, and it silently
-//! upgrades old documents. Instead the checks here walk the raw
-//! [`morph_json::Value`] tree and re-derive every cross-field invariant:
-//! totals vs per-layer sums, edge well-formedness, per-stage cluster
-//! shares against the chip budget, Pareto frontier sanity (mutual
-//! non-domination, power cap, fastest-first order), and search-stats
-//! arithmetic. A malformed document (bad JSON, missing field, schema out
+//! — the deserializer is part of the code under audit. Instead the checks
+//! here walk the raw [`morph_json::Value`] tree and re-derive every
+//! cross-field invariant: totals vs per-layer sums, edge
+//! well-formedness, per-stage cluster shares against the chip budget,
+//! Pareto frontier sanity (mutual non-domination, power cap,
+//! fastest-first order), and search-stats arithmetic. A malformed document (bad JSON, missing field, schema out
 //! of range) becomes a [`Violation`] rather than a crash or a silent
 //! default.
 //!
@@ -28,7 +27,7 @@ const REL_TOL: f64 = 1e-9;
 /// `morph_core::report::{MIN_SCHEMA_VERSION, SCHEMA_VERSION}` — stated
 /// here independently on purpose: the auditor must not drift with the
 /// code it checks without a reviewer noticing).
-const SCHEMA_RANGE: std::ops::RangeInclusive<i64> = 2..=6;
+const SCHEMA_RANGE: std::ops::RangeInclusive<i64> = 6..=6;
 
 /// Context the report pass needs from outside the document: which chips
 /// the backends named in it ran on, and how strictly to police cluster
@@ -108,7 +107,7 @@ pub fn audit_value(doc: &Value, ctx: &ReportContext) -> Vec<Violation> {
         return out;
     };
     for (i, run) in runs.iter().enumerate() {
-        audit_run(i, run, ctx, schema, &mut out);
+        audit_run(i, run, ctx, &mut out);
     }
     out
 }
@@ -124,13 +123,7 @@ const ENERGY_FIELDS: [&str; 7] = [
     "static_pj",
 ];
 
-fn audit_run(
-    index: usize,
-    run: &Value,
-    ctx: &ReportContext,
-    schema: i64,
-    out: &mut Vec<Violation>,
-) {
+fn audit_run(index: usize, run: &Value, ctx: &ReportContext, out: &mut Vec<Violation>) {
     let backend = run.get("backend").and_then(Value::as_str).unwrap_or("?");
     let network = run.get("network").and_then(Value::as_str).unwrap_or("?");
     let subj = format!("run[{index}] {network} on {backend}");
@@ -239,15 +232,7 @@ fn audit_run(
 
     match run.get("pipeline") {
         None | Some(Value::Null) => {}
-        Some(p) => audit_pipeline(
-            p,
-            &subj,
-            layers.len(),
-            ctx.clusters_for(backend),
-            ctx,
-            schema,
-            out,
-        ),
+        Some(p) => audit_pipeline(p, &subj, layers.len(), ctx.clusters_for(backend), ctx, out),
     }
 }
 
@@ -277,7 +262,6 @@ fn audit_pipeline(
     layer_count: usize,
     chip_clusters: Option<u64>,
     ctx: &ReportContext,
-    schema: i64,
     out: &mut Vec<Violation>,
 ) {
     let subj = format!("{run_subj} pipeline");
@@ -309,12 +293,12 @@ fn audit_pipeline(
         ));
     }
 
-    // Stall accounting (schema v6+, where starvation is recorded): the
-    // engine's cycle identity. A stage is, at every cycle of its busy
-    // span, in exactly one of {service, blocked-on-full, starved-on-empty}
-    // — so busy (= frames x service, exact) plus blocked plus starved is
-    // the stage's busy-span total and can never exceed the makespan, and
-    // the serialized utilization must round-trip busy / makespan.
+    // Stall accounting: the engine's cycle identity. A stage is, at every
+    // cycle of its busy span, in exactly one of {service, blocked-on-full,
+    // starved-on-empty} — so busy (= frames x service, exact) plus blocked
+    // plus starved is the stage's busy-span total and can never exceed the
+    // makespan, and the serialized utilization must round-trip busy /
+    // makespan.
     let frames = p.get("frames").and_then(Value::as_i64);
     let makespan = p.get("makespan_cycles").and_then(Value::as_i64);
 
@@ -334,47 +318,45 @@ fn audit_pipeline(
                 ));
             }
         }
-        if schema >= 6 {
-            let field = |k: &str| s.get(k).and_then(Value::as_i64);
-            if let (
-                Some(frames),
-                Some(makespan),
-                Some(service),
-                Some(blocked),
-                Some(starved),
-                Some(util),
-            ) = (
-                frames,
-                makespan,
-                field("service_cycles"),
-                field("blocked_cycles"),
-                field("starved_cycles"),
-                s.get("utilization").and_then(Value::as_f64),
-            ) {
-                let busy = frames * service;
-                if busy + blocked + starved > makespan {
-                    out.push(v(
-                        "stall-accounting",
-                        &ssubj,
-                        format!(
-                            "busy ({frames} frames x {service} cycles = {busy}) + blocked \
-                             {blocked} + starved {starved} exceeds the makespan {makespan}: \
-                             the three states partition the stage's busy span"
-                        ),
-                    ));
-                }
-                if !close(util * makespan as f64, busy as f64) {
-                    out.push(v(
-                        "stall-accounting",
-                        &ssubj,
-                        format!(
-                            "utilization {util} over makespan {makespan} recovers \
-                             {} busy cycles, but {frames} frames x {service} \
-                             service cycles is {busy}",
-                            util * makespan as f64
-                        ),
-                    ));
-                }
+        let field = |k: &str| s.get(k).and_then(Value::as_i64);
+        if let (
+            Some(frames),
+            Some(makespan),
+            Some(service),
+            Some(blocked),
+            Some(starved),
+            Some(util),
+        ) = (
+            frames,
+            makespan,
+            field("service_cycles"),
+            field("blocked_cycles"),
+            field("starved_cycles"),
+            s.get("utilization").and_then(Value::as_f64),
+        ) {
+            let busy = frames * service;
+            if busy + blocked + starved > makespan {
+                out.push(v(
+                    "stall-accounting",
+                    &ssubj,
+                    format!(
+                        "busy ({frames} frames x {service} cycles = {busy}) + blocked \
+                         {blocked} + starved {starved} exceeds the makespan {makespan}: \
+                         the three states partition the stage's busy span"
+                    ),
+                ));
+            }
+            if !close(util * makespan as f64, busy as f64) {
+                out.push(v(
+                    "stall-accounting",
+                    &ssubj,
+                    format!(
+                        "utilization {util} over makespan {makespan} recovers \
+                         {} busy cycles, but {frames} frames x {service} \
+                         service cycles is {busy}",
+                        util * makespan as f64
+                    ),
+                ));
             }
         }
         // clusters: 0 = unrecorded (pre-v4); a recorded share must be a
@@ -951,29 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_accounting_is_gated_to_schema_v6() {
-        // The same broken counts in a v5 document must not fire: v5 does
-        // not record starvation, so the partition cannot be checked.
-        let mut d = doc();
-        *at(&mut d, &[Key("schema")]) = Value::Int(5);
-        *at(
-            &mut d,
-            &[
-                Key("runs"),
-                Idx(0),
-                Key("pipeline"),
-                Key("stages"),
-                Idx(0),
-                Key("blocked_cycles"),
-            ],
-        ) = Value::Int(7000);
-        assert!(!Violation::any_rule(
-            &audit_value(&d, &ctx()),
-            "stall-accounting"
-        ));
-    }
-
-    #[test]
     fn stage_over_chip_is_flagged() {
         let mut d = doc();
         *at(
@@ -1082,7 +1041,7 @@ mod tests {
     fn strict_coresidency_flags_branch_group() {
         // Three stages: 0 forks to 1 and 2; branches hold 4 + 4 > 6.
         let text = r#"{
-          "schema": 5,
+          "schema": 6,
           "runs": [{
             "backend": "Morph", "network": "fork", "objective": "edp",
             "cache_hits": 0,
@@ -1249,7 +1208,7 @@ mod tests {
     #[test]
     fn clean_baseline_passes() {
         let text = r#"{
-          "baseline_schema": 1, "report_schema": 5,
+          "baseline_schema": 1, "report_schema": 6,
           "entries": [
             {"backend": "Morph", "network": "resnet26", "objective": "edp",
              "occurrence": 0, "cycles": 1000, "total_pj": 5.5},
@@ -1264,7 +1223,7 @@ mod tests {
     #[test]
     fn duplicate_baseline_entry_is_flagged() {
         let text = r#"{
-          "baseline_schema": 1, "report_schema": 5,
+          "baseline_schema": 1, "report_schema": 6,
           "entries": [
             {"backend": "Morph", "network": "resnet26", "objective": "edp",
              "occurrence": 0, "cycles": 1000, "total_pj": 5.5},
@@ -1289,7 +1248,7 @@ mod tests {
     #[test]
     fn baseline_negative_energy_is_flagged() {
         let text = r#"{
-          "baseline_schema": 1, "report_schema": 5,
+          "baseline_schema": 1, "report_schema": 6,
           "entries": [{"backend": "Morph", "network": "n", "objective": "edp",
                        "occurrence": 0, "cycles": 1, "total_pj": -2.0}]
         }"#;

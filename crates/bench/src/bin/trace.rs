@@ -61,8 +61,11 @@ fn main() {
 
     let is_pipe = |t: &str| t.starts_with("pipe:");
     let is_search = |t: &str| t.starts_with("search:");
-    let is_session =
-        |t: &str| t.starts_with("eval:") || t.starts_with("sweep:") || t.starts_with("session:");
+    let is_session = |t: &str| {
+        ["phase:", "eval:", "sweep:", "session:"]
+            .iter()
+            .any(|p| t.starts_with(p))
+    };
 
     // Determinism gate: a second from-scratch run must reproduce the
     // simulated-time domains (cycle and candidate-index clocks) bit for

@@ -33,16 +33,12 @@ use morph_tensor::shape::ConvShape;
 /// on an **empty** input channel) alongside the existing `blocked_cycles`
 /// (blocked on a full output channel), giving reports a per-stage
 /// blocked-cycle breakdown; trace timelines stay out of the schema
-/// entirely — they are sidecar files (see `morph-trace`). v2–v5
-/// documents still parse and are upgraded on the fly (chain edges are
-/// reconstructed from the linear layer order; missing allocation/power
-/// fields read back as unrecorded — `0` / `0.0` / `null` — missing
-/// `search` as `null`, and missing `starved_cycles` as `0`).
+/// entirely — they are sidecar files (see `morph-trace`). Documents with
+/// an older stamp are rejected: nothing writes them any more.
 pub const SCHEMA_VERSION: u32 = 6;
 
-/// Oldest schema [`RunReport::from_json_str`] still accepts (upgrading it
-/// to [`SCHEMA_VERSION`] in memory).
-pub const MIN_SCHEMA_VERSION: u32 = 2;
+/// Oldest schema [`RunReport::from_json_str`] accepts.
+pub const MIN_SCHEMA_VERSION: u32 = 6;
 
 /// One evaluated layer inside a [`NetworkRun`].
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +79,7 @@ pub struct NetworkRun {
     pub pipeline: Option<PipelineReport>,
     /// Mapping-search effort behind this run's decisions: summed
     /// [`SearchStats`] of the run's distinct layer shapes (`None` for
-    /// fixed-dataflow backends, whose evaluations search nothing, and for
-    /// pre-v5 documents).
+    /// fixed-dataflow backends, whose evaluations search nothing).
     pub search: Option<SearchStats>,
 }
 
@@ -246,27 +241,20 @@ impl FromJson for NetworkRun {
             .iter()
             .map(LayerRecord::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let edges = match v.get("edges") {
-            // v3: explicit conv-level edge list.
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(|pair| match pair {
-                    Value::Arr(e) if e.len() == 2 => {
-                        let from = e[0].as_u64().ok_or("edge endpoint must be an int")?;
-                        let to = e[1].as_u64().ok_or("edge endpoint must be an int")?;
-                        Ok((from as usize, to as usize))
-                    }
-                    other => Err(format!("edge must be a [from, to] pair, got {other:?}")),
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            Some(other) => return Err(format!("field \"edges\" is not an array: {other:?}")),
-            // v2: networks were linear chains; reconstruct the chain.
-            None => (1..layers.len()).map(|i| (i - 1, i)).collect(),
-        };
-        // v5: per-run mapping-search stats; absent (unrecorded) before.
-        let search = match v.get("search") {
-            None | Some(Value::Null) => None,
-            Some(s) => Some(SearchStats::from_json(s)?),
+        let edges = field_arr(v, "edges")?
+            .iter()
+            .map(|pair| match pair {
+                Value::Arr(e) if e.len() == 2 => {
+                    let from = e[0].as_u64().ok_or("edge endpoint must be an int")?;
+                    let to = e[1].as_u64().ok_or("edge endpoint must be an int")?;
+                    Ok((from as usize, to as usize))
+                }
+                other => Err(format!("edge must be a [from, to] pair, got {other:?}")),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let search = match field(v, "search")? {
+            Value::Null => None,
+            s => Some(SearchStats::from_json(s)?),
         };
         Ok(NetworkRun {
             backend: field_str(v, "backend")?.to_string(),
@@ -300,11 +288,6 @@ impl FromJson for RunReport {
                 "unsupported report schema {schema}, expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
             ));
         }
-        // Older documents upgrade in place: v2 runs gain reconstructed
-        // chain edges and chain baselines, v3 pipeline sections gain
-        // unrecorded allocation/power fields, and pre-v5 runs read their
-        // mapping-search stats back as unrecorded (`search: None`), so
-        // the in-memory report is always at SCHEMA_VERSION.
         Ok(RunReport {
             schema: SCHEMA_VERSION,
             runs: field_arr(v, "runs")?
@@ -391,286 +374,14 @@ mod tests {
         assert_eq!(rep, back);
     }
 
-    /// Strip the v6 additions from a serialized report (per-stage
-    /// `starved_cycles` in pipeline sections), producing the document a
-    /// v5 writer would have emitted.
-    fn downgrade_to_v5(v: &mut Value) {
-        let Value::Obj(top) = v else {
-            panic!("report is an object")
-        };
-        top.insert("schema".into(), Value::Int(5));
-        let Some(Value::Arr(runs)) = top.get_mut("runs") else {
-            panic!("runs array")
-        };
-        for run in runs {
-            let Value::Obj(run) = run else {
-                panic!("run object")
-            };
-            let Some(Value::Obj(p)) = run.get_mut("pipeline") else {
-                continue;
-            };
-            let Some(Value::Arr(stages)) = p.get_mut("stages") else {
-                panic!("pipeline stages")
-            };
-            for stage in stages {
-                let Value::Obj(stage) = stage else {
-                    panic!("stage entry is an object")
-                };
-                stage.remove("starved_cycles");
-            }
-        }
-    }
-
-    /// Strip the v5 additions from a serialized report (per-run `search`
-    /// stats), producing the document a v4 writer would have emitted.
-    fn downgrade_to_v4(v: &mut Value) {
-        downgrade_to_v5(v);
-        let Value::Obj(top) = v else {
-            panic!("report is an object")
-        };
-        top.insert("schema".into(), Value::Int(4));
-        let Some(Value::Arr(runs)) = top.get_mut("runs") else {
-            panic!("runs array")
-        };
-        for run in runs {
-            let Value::Obj(run) = run else {
-                panic!("run object")
-            };
-            run.remove("search");
-        }
-    }
-
-    /// Strip the v4 additions from a serialized report (allocation,
-    /// power scores, pareto section), producing the document a v3 writer
-    /// would have emitted.
-    fn downgrade_to_v3(v: &mut Value) {
-        downgrade_to_v4(v);
-        let Value::Obj(top) = v else {
-            panic!("report is an object")
-        };
-        top.insert("schema".into(), Value::Int(3));
-        let Some(Value::Arr(runs)) = top.get_mut("runs") else {
-            panic!("runs array")
-        };
-        for run in runs {
-            let Value::Obj(run) = run else {
-                panic!("run object")
-            };
-            let Some(Value::Obj(p)) = run.get_mut("pipeline") else {
-                continue;
-            };
-            p.remove("energy_per_frame_pj");
-            p.remove("peak_power_mw");
-            p.remove("pareto");
-            let Some(Value::Arr(stages)) = p.get_mut("stages") else {
-                panic!("pipeline stages")
-            };
-            for stage in stages {
-                let Value::Obj(stage) = stage else {
-                    panic!("stage entry is an object")
-                };
-                stage.remove("clusters");
-            }
-        }
-    }
-
-    /// Zero the v6 fields of an in-memory report: what an upgraded v5
-    /// document is expected to look like.
-    fn without_v6_fields(mut rep: RunReport) -> RunReport {
-        for run in &mut rep.runs {
-            if let Some(p) = run.pipeline.as_mut() {
-                for s in &mut p.stages {
-                    s.starved_cycles = 0;
-                }
-            }
-        }
-        rep
-    }
-
-    /// Drop the v5 (and v6) fields of an in-memory report: what an
-    /// upgraded v4 document is expected to look like.
-    fn without_v5_fields(rep: RunReport) -> RunReport {
-        let mut rep = without_v6_fields(rep);
-        for run in &mut rep.runs {
-            run.search = None;
-        }
-        rep
-    }
-
-    /// Zero the v4 (and v5) fields of an in-memory report: what an
-    /// upgraded pre-v4 document is expected to look like.
-    fn without_v4_fields(rep: RunReport) -> RunReport {
-        let mut rep = without_v5_fields(rep);
-        for run in &mut rep.runs {
-            if let Some(p) = run.pipeline.as_mut() {
-                p.energy_per_frame_pj = 0.0;
-                p.peak_power_mw = 0.0;
-                p.pareto = None;
-                for s in &mut p.stages {
-                    s.clusters = 0;
-                }
-            }
-        }
-        rep
-    }
-
-    #[test]
-    fn v5_documents_upgrade_and_round_trip() {
-        // One schema back: a v5 document (no per-stage starved_cycles)
-        // upgrades to v6 with the blocked-on-empty breakdown unrecorded
-        // (zero) and round-trips exactly afterwards.
-        let rep = Session::builder()
-            .backend(Morph::new())
-            .network(tiny_net())
-            .pipeline(morph_pipeline::PipelineMode::Analytic)
-            .build()
-            .run();
-        let mut doc = Value::parse(&rep.to_json_string()).unwrap();
-        downgrade_to_v5(&mut doc);
-        let upgraded = RunReport::from_json_str(&doc.pretty()).unwrap();
-        assert_eq!(upgraded.schema, SCHEMA_VERSION);
-        assert_eq!(upgraded, without_v6_fields(rep));
-        let again = RunReport::from_json_str(&upgraded.to_json_string()).unwrap();
-        assert_eq!(again, upgraded);
-    }
-
-    #[test]
-    fn v4_documents_upgrade_and_round_trip() {
-        // One schema back: a v4 document (everything but the per-run
-        // search stats) upgrades to v5 with `search` unrecorded and
-        // round-trips exactly afterwards.
-        let rep = Session::builder()
-            .backend(Morph::new())
-            .network(tiny_net())
-            .pipeline(morph_pipeline::PipelineMode::Rebalanced)
-            .build()
-            .run();
-        assert!(
-            rep.runs[0].search.is_some(),
-            "v5 writers record search stats for searched backends"
-        );
-        let mut doc = Value::parse(&rep.to_json_string()).unwrap();
-        downgrade_to_v4(&mut doc);
-        let upgraded = RunReport::from_json_str(&doc.pretty()).unwrap();
-        assert_eq!(upgraded.schema, SCHEMA_VERSION);
-        assert_eq!(upgraded, without_v5_fields(rep));
-        let again = RunReport::from_json_str(&upgraded.to_json_string()).unwrap();
-        assert_eq!(again, upgraded);
-    }
-
-    /// Rewrite a current report document into the v2 shape: schema stamp
-    /// 2, no run-level `edges`, pipeline channel stats inlined per stage
-    /// instead of the `edges` array, no chain-baseline fields, no v4
-    /// allocation/power fields.
-    fn downgrade_to_v2(v: &mut Value) {
-        downgrade_to_v3(v);
-        let Value::Obj(top) = v else {
-            panic!("report is an object")
-        };
-        top.insert("schema".into(), Value::Int(2));
-        let Some(Value::Arr(runs)) = top.get_mut("runs") else {
-            panic!("runs array")
-        };
-        for run in runs {
-            let Value::Obj(run) = run else {
-                panic!("run object")
-            };
-            run.remove("edges");
-            let Some(p) = run.get_mut("pipeline") else {
-                continue;
-            };
-            if let Value::Obj(p) = p {
-                p.remove("chain_fps");
-                p.remove("chain_fill_cycles");
-                let Some(Value::Arr(edges)) = p.remove("edges") else {
-                    panic!("pipeline edges")
-                };
-                let Some(Value::Arr(stages)) = p.get_mut("stages") else {
-                    panic!("pipeline stages")
-                };
-                for (i, stage) in stages.iter_mut().enumerate() {
-                    let Value::Obj(stage) = stage else {
-                        panic!("stage entry is an object")
-                    };
-                    // v2 pipelines were chains: stage i's out-channel is
-                    // edge i -> i+1 (zeros on the last stage).
-                    let edge = edges
-                        .iter()
-                        .find(|e| e.get("from").and_then(Value::as_u64) == Some(i as u64));
-                    let get = |k: &str| {
-                        edge.and_then(|e| e.get(k))
-                            .cloned()
-                            .unwrap_or(Value::Int(0))
-                    };
-                    stage.insert("out_capacity".into(), get("capacity"));
-                    stage.insert("max_occupancy".into(), get("max_occupancy"));
-                    stage.insert(
-                        "mean_occupancy".into(),
-                        edge.and_then(|e| e.get("mean_occupancy"))
-                            .cloned()
-                            .unwrap_or(Value::Float(0.0)),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn v2_documents_upgrade_and_round_trip() {
-        // A pipeline-bearing chain run, serialized, downgraded to the v2
-        // document shape, parsed back: the report must come back at the
-        // current schema with reconstructed chain edges, identical
-        // numbers (the v4/v5 additions read back as unrecorded), and
-        // survive a further round trip exactly.
-        let rep = Session::builder()
-            .backend(Morph::new())
-            .network(tiny_net())
-            .pipeline(morph_pipeline::PipelineMode::Analytic)
-            .build()
-            .run();
-        let mut doc = Value::parse(&rep.to_json_string()).unwrap();
-        downgrade_to_v2(&mut doc);
-        let upgraded = RunReport::from_json_str(&doc.pretty()).unwrap();
-        assert_eq!(upgraded.schema, SCHEMA_VERSION);
-        // tiny_net is a chain, so the v2 upgrade reconstructs the exact
-        // report the serialization carried, minus the v4 fields.
-        assert_eq!(upgraded, without_v4_fields(rep));
-        let again = RunReport::from_json_str(&upgraded.to_json_string()).unwrap();
-        assert_eq!(again, upgraded);
-    }
-
-    #[test]
-    fn v3_documents_upgrade_and_round_trip() {
-        // The same exercise one schema closer: a v3 document (graph
-        // edges present, no allocation/power fields) upgrades to v4 with
-        // those fields unrecorded and round-trips exactly afterwards.
-        let rep = Session::builder()
-            .backend(Morph::new())
-            .network(tiny_net())
-            .pipeline(morph_pipeline::PipelineMode::Rebalanced)
-            .build()
-            .run();
-        let pipeline = rep.runs[0].pipeline.as_ref().unwrap();
-        assert!(
-            pipeline.energy_per_frame_pj > 0.0,
-            "v4 writers score energy"
-        );
-        assert!(pipeline.peak_power_mw > 0.0, "v4 writers score peak power");
-        assert!(pipeline.stages.iter().all(|s| s.clusters > 0));
-        let mut doc = Value::parse(&rep.to_json_string()).unwrap();
-        downgrade_to_v3(&mut doc);
-        let upgraded = RunReport::from_json_str(&doc.pretty()).unwrap();
-        assert_eq!(upgraded.schema, SCHEMA_VERSION);
-        assert_eq!(upgraded, without_v4_fields(rep));
-        let again = RunReport::from_json_str(&upgraded.to_json_string()).unwrap();
-        assert_eq!(again, upgraded);
-    }
-
     #[test]
     fn too_old_or_future_schemas_are_rejected() {
         let mut rep = tiny_report();
-        rep.schema = 1;
-        assert!(RunReport::from_json_str(&rep.to_json_string()).is_err());
+        for old in [1, 5] {
+            rep.schema = old;
+            let err = RunReport::from_json_str(&rep.to_json_string()).unwrap_err();
+            assert!(err.contains("unsupported report schema"), "{err}");
+        }
         rep.schema = SCHEMA_VERSION + 1;
         assert!(RunReport::from_json_str(&rep.to_json_string()).is_err());
     }

@@ -345,16 +345,20 @@ impl Session {
             }
         }
         jobs.append(&mut sweeps);
+        // Traced runs get one wall-clock span per phase, each on its own
+        // `phase:` track.
+        let planned = t0.elapsed().as_nanos() as u64;
+        self.trace.span("phase:plan", "plan", 0, planned);
         if traced {
-            let ts = t0.elapsed().as_nanos() as u64;
             for (bi, backend) in self.backends.iter().enumerate() {
                 for (ni, net) in self.networks.iter().enumerate() {
                     let track = format!("session:{}/{}", backend.name(), net.name);
-                    self.trace.counter(&track, "cache_hits", ts, hits[bi][ni]);
+                    self.trace
+                        .counter(&track, "cache_hits", planned, hits[bi][ni]);
                     // A gauge, not a counter: a re-run of the same session
                     // serves more layers from the store, so this falls.
                     self.trace
-                        .gauge(&track, "fresh_evals", ts, fresh_counts[bi][ni]);
+                        .gauge(&track, "fresh_evals", planned, fresh_counts[bi][ni]);
                 }
             }
         }
@@ -382,6 +386,8 @@ impl Session {
             self.trace
                 .span(&track, span, begin, t0.elapsed().as_nanos() as u64);
         });
+        let decided = t0.elapsed().as_nanos() as u64;
+        self.trace.span("phase:decide", "decide", planned, decided);
 
         // Phase 3: assemble runs (and pipeline schedules) in session
         // order. Tables are store lookups; pairs are independent, so the
@@ -395,6 +401,8 @@ impl Session {
         let runs = par::par_map(self.threads, &pairs, |&(bi, ni)| {
             self.assemble(bi, &self.networks[ni], hits[bi][ni])
         });
+        let end = t0.elapsed().as_nanos() as u64;
+        self.trace.span("phase:assemble", "assemble", decided, end);
         *self.last_hits.lock().unwrap() = hits;
         RunReport {
             schema: SCHEMA_VERSION,
@@ -1465,6 +1473,42 @@ mod tests {
             })
             .unwrap();
         assert_eq!(last_fresh, 0, "second run is fully cached");
+    }
+
+    /// A traced run records one wall-clock span per session phase, each on
+    /// its own `phase:` track, in order and without overlap.
+    #[test]
+    fn traced_runs_span_each_phase_once() {
+        use morph_trace::{Phase, TraceBuffer};
+        let buf = Arc::new(TraceBuffer::new());
+        Session::builder()
+            .backend(Morph::new())
+            .network(repeated_net())
+            .pipeline(PipelineMode::Analytic)
+            .trace(buf.clone())
+            .build()
+            .run();
+        let spans: Vec<(String, Phase, u64)> = buf
+            .events()
+            .into_iter()
+            .filter(|e| e.track.starts_with("phase:"))
+            .map(|e| (e.track, e.phase, e.ts))
+            .collect();
+        let expected: Vec<(String, Phase)> = ["plan", "decide", "assemble"]
+            .into_iter()
+            .flat_map(|p| {
+                [
+                    (format!("phase:{p}"), Phase::Begin),
+                    (format!("phase:{p}"), Phase::End),
+                ]
+            })
+            .collect();
+        let got: Vec<(String, Phase)> = spans.iter().map(|(t, p, _)| (t.clone(), *p)).collect();
+        assert_eq!(got, expected);
+        assert!(
+            spans.windows(2).all(|w| w[0].2 <= w[1].2),
+            "phases run in order without overlap: {spans:?}"
+        );
     }
 
     /// Each planned sweep records one wall-clock span on its own

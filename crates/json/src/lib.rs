@@ -28,8 +28,8 @@
 //!
 //! The top-level document the workspace persists is `morph-core`'s
 //! `RunReport` (`experiments_out/*.json`, merged into `bench.json`). Its
-//! `schema` stamp is currently **6**; v2–v5 documents still parse
-//! (the reader upgrades them in memory), v1 does not:
+//! `schema` stamp is currently **6**, and the reader rejects every
+//! other stamp: nothing writes the older shapes any more. The history:
 //!
 //! * v1 — `{schema, runs: [{backend, network, objective, cache_hits,
 //!   layers: [{name, shape, decision, report}], total}]}`.
@@ -52,10 +52,7 @@
 //!   per dependency edge), and two branch-parallel baseline fields are
 //!   added — `chain_fps` / `chain_fill_cycles` (`Float` / `Int`), the
 //!   steady throughput and fill latency of the same services scheduled
-//!   as a linearized chain (the pre-DAG pipeline model). On v2 input the
-//!   reader reconstructs chain edges from the linear layer order, lifts
-//!   per-stage channel stats into `i -> i+1` edge entries, and sets the
-//!   chain baseline to the schedule itself.
+//!   as a linearized chain (the pre-DAG pipeline model).
 //! * v4 — schedules are allocation-aware. Each pipeline stage records
 //!   `clusters` (`Int`, the compute-cluster share it is scheduled on);
 //!   the pipeline section gains `energy_per_frame_pj` / `peak_power_mw`
@@ -67,21 +64,18 @@
 //!   `pareto`: `{power_cap_mw: Int | null, candidates, points:
 //!   [{clusters: [Int], steady_fps, energy_per_frame_pj,
 //!   peak_power_mw}]}` — the non-dominated allocation frontier, fastest
-//!   point first. On v3 input the reader defaults the new fields to
-//!   "unrecorded" (`0`, `0.0`, `null`).
+//!   point first.
 //! * v5 — runs record the mapping search behind their decisions. Each
 //!   run gains `search`: `null`, or `{enumerated, bound_pruned, costed}`
 //!   (`Int` counters from `morph-optimizer`'s `SearchStats`) — the
 //!   candidates the branch-and-bound stream generated, the ones its
 //!   admissible bounds skipped, and the ones fully costed, summed over
 //!   the run's distinct layer shapes. Fixed-dataflow backends (nothing
-//!   searched) write `null`. On v2–v4 input the reader defaults the
-//!   field to `null`.
+//!   searched) write `null`.
 //! * v6 — pipeline stall time is broken out by cause. Each pipeline
 //!   stage gains `starved_cycles` (`Int` — cycles blocked on an
 //!   **empty** input channel) alongside the existing `blocked_cycles`
-//!   (blocked on a **full** output channel). On v2–v5 input the reader
-//!   defaults it to `0` (starvation unrecorded). Trace timelines are
+//!   (blocked on a **full** output channel). Trace timelines are
 //!   deliberately **not** part of this schema: `morph-trace` writes them
 //!   as standalone Chrome `trace_event`/Perfetto sidecar documents
 //!   (`experiments_out/trace_*.json`) because their session domain runs

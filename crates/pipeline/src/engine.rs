@@ -34,6 +34,17 @@
 //! holds the consumer's last `cap_e + 1` pops, which serve both the
 //! credit term and the channel's peak occupancy.
 //!
+//! Its work is bounded by the schedule's transient. Once every credit
+//! term is live, the rest of a run depends only on each stage's `rel`,
+//! each ring and each channel's lag, and the recurrence reads those only
+//! through maxima, differences and `<=` tests. Max-plus cyclicity says
+//! that state repeats after a transient, up to one time shift per weakly
+//! connected component. An untraced run snapshots it at power-of-two
+//! checkpoints (Brent), and at the first repeat it jumps whole periods
+//! at once: times gain their shifts, and blocked, starved and residence
+//! sums gain their growth over one period. A run that never repeats,
+//! and every traced run, is evaluated frame by frame.
+//!
 //! [`simulate_traced`] additionally records the run through a
 //! `morph_trace::Recorder` in **simulated cycles**: per-stage `service` /
 //! `blocked_full` / `blocked_empty` spans on `stage:<i>:<name>` tracks
@@ -297,6 +308,7 @@ impl PipelineStats {
 
 /// One channel's share of the recurrence state. Its size depends on the
 /// capacity, never on the frame count.
+#[derive(Clone)]
 struct Chan {
     /// The consumer's latest pops, `pop_to(k)` at slot `k % ring.len()`:
     /// frames `j - cap ..= j` once frame `j` is folded (every frame when
@@ -337,6 +349,103 @@ impl Chan {
     }
 }
 
+/// Everything the frame loop carries from one frame to the next.
+#[derive(Clone)]
+struct State {
+    /// `rel_i(j)` once stage `i` has run frame `j`, and `rel_i(j − 1)`
+    /// before.
+    rel: Vec<u64>,
+    /// `pop_i(j)`, likewise.
+    pop: Vec<u64>,
+    blocked: Vec<u64>,
+    starved: Vec<u64>,
+    chans: Vec<Chan>,
+}
+
+impl State {
+    /// Overwrite this state with `src`, keeping this state's allocations.
+    fn copy_from(&mut self, src: &State) {
+        self.rel.copy_from_slice(&src.rel);
+        self.pop.copy_from_slice(&src.pop);
+        self.blocked.copy_from_slice(&src.blocked);
+        self.starved.copy_from_slice(&src.starved);
+        for (c, s) in self.chans.iter_mut().zip(&src.chans) {
+            c.ring.copy_from_slice(&s.ring);
+            c.popped = s.popped;
+            c.peak = s.peak;
+            c.residence = s.residence;
+        }
+    }
+
+    /// Whether this state, `p` frames after `then`, repeats it up to one
+    /// time shift per weakly connected component: the shift of stage
+    /// `i`'s component is the gain of its lowest stage, `root[i]`.
+    /// Maxima, differences and `<=` tests are all the recurrence reads,
+    /// so the remaining frames then repeat with the same shifts. The
+    /// state is each `rel`, each ring read in frame order, and each
+    /// channel's lag behind its producer. Late stages are checked first:
+    /// in a transient they are the likeliest to have drifted.
+    fn repeats(&self, then: &State, p: u64, root: &[usize], edges: &[EdgeSpec]) -> bool {
+        let moved = |now: u64, old: u64, i: usize| {
+            old.checked_add(self.rel[root[i]] - then.rel[root[i]]) == Some(now)
+        };
+        (0..self.rel.len())
+            .rev()
+            .all(|i| moved(self.rel[i], then.rel[i], i))
+            && edges
+                .iter()
+                .zip(self.chans.iter().zip(&then.chans))
+                .all(|(e, (c, old))| {
+                    c.popped - old.popped == p
+                        && (0..old.ring.len())
+                            .all(|t| moved(c.ring[c.slot(t as u64 + p)], old.ring[t], e.from))
+                })
+    }
+
+    /// Jump `q` periods ahead, where this state repeats `then` after
+    /// `p` frames ([`State::repeats`]): times gain `q` component shifts,
+    /// rings are re-slotted for the new frame index, and each
+    /// accumulator gains `q` times its growth over one period. Peaks stay
+    /// put: every occupancy of the skipped periods was already folded.
+    fn advance(&mut self, then: &State, p: u64, q: u64, root: &[usize], edges: &[EdgeSpec]) {
+        let shift: Vec<u64> = root
+            .iter()
+            .map(|&r| q * (self.rel[r] - then.rel[r]))
+            .collect();
+        for (i, &d) in shift.iter().enumerate() {
+            self.rel[i] += d;
+            self.pop[i] += d;
+            self.blocked[i] += q * (self.blocked[i] - then.blocked[i]);
+            self.starved[i] += q * (self.starved[i] - then.starved[i]);
+        }
+        for (e, (c, old)) in edges.iter().zip(self.chans.iter_mut().zip(&then.chans)) {
+            let len = c.ring.len() as u64;
+            c.ring.rotate_right((q * p % len) as usize);
+            for t in &mut c.ring {
+                *t += shift[e.from];
+            }
+            c.popped += q * p;
+            c.residence += u128::from(q) * (c.residence - old.residence);
+        }
+    }
+}
+
+/// Each stage's weakly connected component, named by its lowest stage.
+fn component_roots(spec: &PipelineSpec) -> Vec<usize> {
+    let mut root: Vec<usize> = (0..spec.stages.len()).collect();
+    let find = |root: &[usize], mut i: usize| {
+        while root[i] != i {
+            i = root[i];
+        }
+        i
+    };
+    for e in &spec.edges {
+        let (a, b) = (find(&root, e.from), find(&root, e.to));
+        root[a.max(b)] = a.min(b);
+    }
+    (0..root.len()).map(|i| find(&root, i)).collect()
+}
+
 /// Run `frames` identical frames through the pipeline DAG and collect
 /// stats. Every source stage draws `frames` frames; every sink must emit
 /// all of them.
@@ -359,6 +468,12 @@ pub fn simulate(spec: &PipelineSpec, frames: u64) -> PipelineStats {
 ///
 /// Panics if the spec fails [`PipelineSpec::validate`].
 pub fn simulate_traced(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> PipelineStats {
+    evaluate(spec, frames, rec).0
+}
+
+/// The frame loop behind [`simulate_traced`]. Also returns how many
+/// frames it evaluated one by one; the rest it fast-forwarded.
+fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineStats, u64) {
     spec.validate().expect("invalid pipeline spec");
     let n = spec.stages.len();
     let mut ins: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -368,60 +483,103 @@ pub fn simulate_traced(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> 
         ins[e.to].push(ei);
     }
     let run_len = usize::try_from(frames).unwrap_or(usize::MAX);
-    let mut chans: Vec<Chan> = spec
-        .edges
-        .iter()
-        .map(|e| Chan {
-            ring: vec![0; e.capacity.saturating_add(1).min(run_len)],
-            popped: 0,
-            peak: 0,
-            residence: 0,
-        })
-        .collect();
-    // `rel[i]` is `rel_i(j)` once stage `i` has run frame `j`, and
-    // `rel_i(j − 1)` before.
-    let mut rel = vec![0u64; n];
-    let mut blocked = vec![0u64; n];
-    let mut starved = vec![0u64; n];
-    // `pop` and `rel` increase with `j`, so running maxima over sinks
-    // (sources) end at the last frame's exit (entry).
-    let (mut fill, mut makespan, mut last_entry) = (0, 0, 0);
+    let mut st = State {
+        rel: vec![0; n],
+        pop: vec![0; n],
+        blocked: vec![0; n],
+        starved: vec![0; n],
+        chans: spec
+            .edges
+            .iter()
+            .map(|e| Chan {
+                ring: vec![0; e.capacity.saturating_add(1).min(run_len)],
+                popped: 0,
+                peak: 0,
+                residence: 0,
+            })
+            .collect(),
+    };
+    // `pop` and `rel` increase with `j`, so the sinks' latest `rel` is
+    // the makespan and the sources' latest `pop` the last entry.
+    let latest = |times: &[u64], ends: &[Vec<usize>]| {
+        (0..n)
+            .filter(|&i| ends[i].is_empty())
+            .map(|i| times[i])
+            .max()
+            .unwrap_or(0)
+    };
+    let mut fill = 0;
     // A traced run keeps its whole `(pop, rel)` schedule for emission.
     let traced = rec.enabled();
     let mut schedule: Vec<Vec<(u64, u64)>> = vec![Vec::new(); if traced { n } else { 0 }];
-    for j in 0..frames {
+    // Periodic fast-forward: from frame `max_cap` on (so only when every
+    // capacity is below the frame count) every credit term is live and
+    // every ring holds `cap + 1` pops, so the state decides the rest of
+    // the run. Snapshots at `max_cap + 2^k` (Brent) catch any period.
+    let root = component_roots(spec);
+    let max_cap = spec
+        .edges
+        .iter()
+        .map(|e| e.capacity as u64)
+        .max()
+        .unwrap_or(0);
+    let mut seek_period = !traced;
+    let mut snap: Option<(u64, State)> = None;
+    let mut evaluated = 0;
+    let mut j = 0;
+    while j < frames {
+        evaluated += 1;
         for i in 0..n {
-            let prev = rel[i];
+            let prev = st.rel[i];
             let pop = ins[i]
                 .iter()
-                .map(|&e| rel[spec.edges[e].from])
+                .map(|&e| st.rel[spec.edges[e].from])
                 .fold(prev, u64::max);
-            if ins[i].is_empty() {
-                last_entry = last_entry.max(pop);
-            } else {
-                starved[i] += pop - prev;
+            if !ins[i].is_empty() {
+                st.starved[i] += pop - prev;
             }
             for &e in &ins[i] {
-                chans[e].fold(j, rel[spec.edges[e].from], pop);
+                st.chans[e].fold(j, st.rel[spec.edges[e].from], pop);
             }
             let done = pop + spec.stages[i].service_cycles;
             let r = outs[i]
                 .iter()
-                .filter_map(|&e| chans[e].credit(j, spec.edges[e].capacity))
+                .filter_map(|&e| st.chans[e].credit(j, spec.edges[e].capacity))
                 .fold(done, u64::max);
-            blocked[i] += r - done;
-            rel[i] = r;
-            if outs[i].is_empty() {
-                makespan = makespan.max(r);
-                if j == 0 {
-                    fill = fill.max(r);
-                }
-            }
+            st.blocked[i] += r - done;
+            st.rel[i] = r;
+            st.pop[i] = pop;
             if traced {
                 schedule[i].push((pop, r));
             }
         }
+        if j == 0 {
+            fill = latest(&st.rel, &outs);
+        }
+        if seek_period && j >= max_cap {
+            if let Some((j0, then)) = &snap {
+                let p = j - j0;
+                if st.repeats(then, p, &root, &spec.edges) {
+                    let q = (frames - 1 - j) / p;
+                    st.advance(then, p, q, &root, &spec.edges);
+                    j += q * p;
+                    seek_period = false;
+                }
+            }
+            if seek_period && (j == max_cap || (j - max_cap).is_power_of_two()) {
+                match &mut snap {
+                    Some((at, then)) => {
+                        *at = j;
+                        then.copy_from(&st);
+                    }
+                    None => snap = Some((j, st.clone())),
+                }
+            }
+        }
+        j += 1;
     }
+    let makespan = latest(&st.rel, &outs);
+    let last_entry = latest(&st.pop, &ins);
 
     if traced {
         record_schedule(spec, &schedule, rec);
@@ -435,14 +593,14 @@ pub fn simulate_traced(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> 
             service_cycles: s.service_cycles,
             frames,
             busy_cycles: frames * s.service_cycles,
-            blocked_cycles: blocked[i],
-            starved_cycles: starved[i],
+            blocked_cycles: st.blocked[i],
+            starved_cycles: st.starved[i],
         })
         .collect();
     let channels = spec
         .edges
         .iter()
-        .zip(&chans)
+        .zip(&st.chans)
         .map(|(e, c)| ChannelStats {
             from: e.from,
             to: e.to,
@@ -455,7 +613,7 @@ pub fn simulate_traced(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> 
             },
         })
         .collect();
-    PipelineStats {
+    let stats = PipelineStats {
         frames_in: frames,
         frames_out: frames,
         makespan_cycles: makespan,
@@ -463,7 +621,8 @@ pub fn simulate_traced(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> 
         drain_cycles: makespan - last_entry,
         stages,
         channels,
-    }
+    };
+    (stats, evaluated)
 }
 
 /// Emit a traced run's spans and settled occupancy gauges, in
@@ -845,6 +1004,63 @@ mod tests {
                 stage.starved_cycles
             );
         }
+    }
+
+    /// Evaluate `spec` untraced, check its stats against a frame-by-frame
+    /// (traced) run, and return how many frames it evaluated.
+    fn evaluated_frames(spec: &PipelineSpec, frames: u64) -> u64 {
+        let (stats, evaluated) = evaluate(spec, frames, &NoopRecorder);
+        let traced = simulate_traced(spec, frames, &morph_trace::TraceBuffer::new());
+        assert_eq!(stats, traced, "fast-forward changed the stats");
+        evaluated
+    }
+
+    /// Two components with unequal bottlenecks: a 3-stage chain and a
+    /// 2-stage chain (Two_Stream's shape).
+    fn two_streams() -> PipelineSpec {
+        let mut s = spec(&[4, 11, 6, 3, 8], &[2, 3, 1, 2]);
+        s.edges.remove(2);
+        s
+    }
+
+    #[test]
+    fn a_long_periodic_run_costs_its_transient() {
+        assert!(evaluated_frames(&diamond([2, 10, 3, 4], 2), 10_000) < 100);
+        assert!(evaluated_frames(&spec(&[7], &[]), 10_000) < 10);
+        // Two components run at different rates, so each needs its own
+        // time shift before their joint state repeats.
+        assert_eq!(component_roots(&two_streams()), vec![0, 0, 0, 3, 3]);
+        assert!(evaluated_frames(&two_streams(), 10_000) < 100);
+        // A bypass around a tight channel settles into period 2, and
+        // 10,000 frames is no whole number of ring turns after it.
+        let mut bypass = spec(&[1, 7, 7, 4, 2], &[2, 1, 2, 2]);
+        bypass.edges.push(EdgeSpec {
+            from: 0,
+            to: 4,
+            capacity: 2,
+        });
+        assert!(evaluated_frames(&bypass, 10_000) < 100);
+    }
+
+    #[test]
+    fn a_run_that_never_repeats_is_evaluated_in_full() {
+        // The head is one cycle faster than the tail, so the gap between
+        // them grows every frame; the channel would only fill after
+        // millions of frames.
+        let drift = spec(&[999_999, 1_000_000], &[9]);
+        assert_eq!(evaluated_frames(&drift, 10_000), 10_000);
+        // One channel as long as the run: its ring never fills, so no
+        // state is compared.
+        let mut long = diamond([2, 10, 3, 4], 2);
+        long.edges[1].capacity = 5_000;
+        assert_eq!(evaluated_frames(&long, 5_000), 5_000);
+    }
+
+    #[test]
+    fn an_enabled_recorder_never_fast_forwards() {
+        let d = diamond([2, 10, 3, 4], 2);
+        let buf = morph_trace::TraceBuffer::new();
+        assert_eq!(evaluate(&d, 10_000, &buf).1, 10_000);
     }
 
     #[test]

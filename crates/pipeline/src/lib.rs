@@ -17,7 +17,9 @@
 //! draw frames independently. Because service times do not depend on
 //! the data, that schedule is a max-plus recurrence over frames, and
 //! [`simulate`] evaluates it directly in stage order (see [`engine`]),
-//! in memory bounded by the spec rather than the frame count.
+//! in memory bounded by the spec rather than the frame count, and in
+//! work bounded by the schedule's transient: once the state repeats up
+//! to a time shift, whole periods are skipped at once.
 //!
 //! ```
 //! use morph_pipeline::{simulate, PipelineSpec, StageSpec};

@@ -8,9 +8,8 @@
 //! branch-parallel schedule is compared against and — in
 //! [`PipelineMode::Pareto`] — the [`ParetoReport`] frontier of
 //! cluster-share allocations. It round-trips through `morph-json` exactly,
-//! so it can ride inside a `RunReport` (since schema v4); v2 documents (linear
-//! chains only) and v3 documents (no allocation/power fields) still parse
-//! and are upgraded on the fly.
+//! so it can ride inside a `RunReport` at schema v6; sections written
+//! under an older schema are not read.
 
 use crate::engine::PipelineStats;
 use morph_json::{field, field_arr, field_f64, field_str, field_u64, FromJson, ToJson, Value};
@@ -420,11 +419,8 @@ impl FromJson for StageReport {
                 .ok_or_else(|| "field \"rebalanced\" is not a bool".to_string())?,
             utilization: field_f64(v, "utilization")?,
             blocked_cycles: field_u64(v, "blocked_cycles")?,
-            // Pre-v6 stages recorded only the blocked-on-full side of the
-            // breakdown: 0 = unrecorded starvation.
-            starved_cycles: v.get("starved_cycles").and_then(Value::as_u64).unwrap_or(0),
-            // Pre-v4 stages carried no allocation: 0 = unrecorded.
-            clusters: v.get("clusters").and_then(Value::as_u64).unwrap_or(0),
+            starved_cycles: field_u64(v, "starved_cycles")?,
+            clusters: field_u64(v, "clusters")?,
         })
     }
 }
@@ -551,23 +547,9 @@ impl ToJson for PipelineReport {
 
 impl FromJson for PipelineReport {
     fn from_json(v: &Value) -> Result<Self, String> {
-        if v.get("edges").is_some() {
-            Self::from_json_v3plus(v)
-        } else {
-            Self::from_json_v2(v)
-        }
-    }
-}
-
-impl PipelineReport {
-    /// Parse a v3 or v4 pipeline section. The v4 additions — per-stage
-    /// `clusters`, `energy_per_frame_pj` / `peak_power_mw`, `pareto` —
-    /// are optional and default to "unrecorded" (`0`, `0.0`, `None`) so
-    /// v3 documents upgrade on the fly.
-    fn from_json_v3plus(v: &Value) -> Result<Self, String> {
-        let pareto = match v.get("pareto") {
-            None | Some(Value::Null) => None,
-            Some(p) => Some(ParetoReport::from_json(p)?),
+        let pareto = match field(v, "pareto")? {
+            Value::Null => None,
+            p => Some(ParetoReport::from_json(p)?),
         };
         Ok(PipelineReport {
             mode: PipelineMode::from_json(field(v, "mode")?)?,
@@ -581,14 +563,8 @@ impl PipelineReport {
             chain_fps: field_f64(v, "chain_fps")?,
             chain_fill_cycles: field_u64(v, "chain_fill_cycles")?,
             bottleneck: field_str(v, "bottleneck")?.to_string(),
-            energy_per_frame_pj: v
-                .get("energy_per_frame_pj")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            peak_power_mw: v
-                .get("peak_power_mw")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
+            energy_per_frame_pj: field_f64(v, "energy_per_frame_pj")?,
+            peak_power_mw: field_f64(v, "peak_power_mw")?,
             stages: field_arr(v, "stages")?
                 .iter()
                 .map(StageReport::from_json)
@@ -598,48 +574,6 @@ impl PipelineReport {
                 .map(EdgeReport::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
             pareto,
-        })
-    }
-
-    /// Upgrade a schema-v2 pipeline section (linear chain; channel stats
-    /// inlined on each stage as `out_capacity` / `max_occupancy` /
-    /// `mean_occupancy`): the per-stage channel fields become the chain's
-    /// `i -> i + 1` edges, and the chain baseline is the schedule itself.
-    fn from_json_v2(v: &Value) -> Result<Self, String> {
-        let stage_values = field_arr(v, "stages")?;
-        let mut stages = Vec::with_capacity(stage_values.len());
-        let mut edges = Vec::new();
-        for (i, sv) in stage_values.iter().enumerate() {
-            stages.push(StageReport::from_json(sv)?);
-            if i + 1 < stage_values.len() {
-                edges.push(EdgeReport {
-                    from: i as u64,
-                    to: i as u64 + 1,
-                    capacity: field_u64(sv, "out_capacity")?,
-                    max_occupancy: field_u64(sv, "max_occupancy")?,
-                    mean_occupancy: field_f64(sv, "mean_occupancy")?,
-                });
-            }
-        }
-        let steady_fps = field_f64(v, "steady_fps")?;
-        let fill_cycles = field_u64(v, "fill_cycles")?;
-        Ok(PipelineReport {
-            mode: PipelineMode::from_json(field(v, "mode")?)?,
-            frames: field_u64(v, "frames")?,
-            clock_hz: field_u64(v, "clock_hz")?,
-            makespan_cycles: field_u64(v, "makespan_cycles")?,
-            fill_cycles,
-            drain_cycles: field_u64(v, "drain_cycles")?,
-            steady_fps,
-            serial_fps: field_f64(v, "serial_fps")?,
-            chain_fps: steady_fps,
-            chain_fill_cycles: fill_cycles,
-            bottleneck: field_str(v, "bottleneck")?.to_string(),
-            energy_per_frame_pj: 0.0,
-            peak_power_mw: 0.0,
-            stages,
-            edges,
-            pareto: None,
         })
     }
 }
@@ -829,89 +763,6 @@ mod tests {
         assert_eq!(back.stages[1].clusters, 2);
         assert_eq!(back.energy_per_frame_pj, 3e9);
         assert_eq!(back.peak_power_mw, 200.0);
-    }
-
-    #[test]
-    fn v3_documents_upgrade_to_v4_defaults() {
-        // Strip the v4 fields from a serialized report: the document a
-        // v3 writer would have produced must still parse, with allocation
-        // and power marked unrecorded.
-        let mut doc = Value::parse(&sample().to_json().pretty()).unwrap();
-        let Value::Obj(top) = &mut doc else { panic!() };
-        top.remove("energy_per_frame_pj");
-        top.remove("peak_power_mw");
-        top.remove("pareto");
-        let Some(Value::Arr(stages)) = top.get_mut("stages") else {
-            panic!()
-        };
-        for s in stages {
-            let Value::Obj(s) = s else { panic!() };
-            s.remove("clusters");
-        }
-        let r = PipelineReport::from_json(&doc).unwrap();
-        assert_eq!(r.energy_per_frame_pj, 0.0);
-        assert_eq!(r.peak_power_mw, 0.0);
-        assert!(r.pareto.is_none());
-        assert!(r.stages.iter().all(|s| s.clusters == 0));
-        // Everything the v3 document carried survives, and the upgraded
-        // report round-trips exactly through the v4 writer.
-        assert_eq!(r.steady_fps, sample().steady_fps);
-        let back =
-            PipelineReport::from_json(&Value::parse(&r.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(r, back);
-    }
-
-    #[test]
-    fn v5_documents_upgrade_to_blocked_breakdown_defaults() {
-        // A v5 writer recorded only blocked-on-full: stripping
-        // `starved_cycles` must parse with starvation marked unrecorded,
-        // and the upgraded report round-trips through the v6 writer.
-        let mut doc = Value::parse(&sample().to_json().pretty()).unwrap();
-        let Value::Obj(top) = &mut doc else { panic!() };
-        let Some(Value::Arr(stages)) = top.get_mut("stages") else {
-            panic!()
-        };
-        for s in stages {
-            let Value::Obj(s) = s else { panic!() };
-            s.remove("starved_cycles");
-        }
-        let r = PipelineReport::from_json(&doc).unwrap();
-        assert!(r.stages.iter().all(|s| s.starved_cycles == 0));
-        assert_eq!(r.steady_fps, sample().steady_fps);
-        let back =
-            PipelineReport::from_json(&Value::parse(&r.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(r, back);
-    }
-
-    #[test]
-    fn v2_documents_upgrade_to_edges() {
-        // A hand-built v2 pipeline section: channel stats ride on stages.
-        let text = r#"{
-            "mode": "analytic", "frames": 4, "clock_hz": 1000000000,
-            "makespan_cycles": 400, "fill_cycles": 70, "drain_cycles": 100,
-            "steady_fps": 10000000.0, "serial_fps": 9000000.0,
-            "bottleneck": "conv2",
-            "stages": [
-                {"name": "conv1", "service_cycles": 30,
-                 "base_service_cycles": 30, "rebalanced": false,
-                 "utilization": 0.3, "blocked_cycles": 0,
-                 "out_capacity": 3, "max_occupancy": 2, "mean_occupancy": 1.5},
-                {"name": "conv2", "service_cycles": 100,
-                 "base_service_cycles": 100, "rebalanced": false,
-                 "utilization": 1.0, "blocked_cycles": 0,
-                 "out_capacity": 0, "max_occupancy": 0, "mean_occupancy": 0.0}
-            ]
-        }"#;
-        let r = PipelineReport::from_json(&Value::parse(text).unwrap()).unwrap();
-        assert_eq!(r.edges.len(), 1);
-        assert_eq!((r.edges[0].from, r.edges[0].to), (0, 1));
-        assert_eq!(r.edges[0].capacity, 3);
-        assert_eq!(r.chain_fps, r.steady_fps);
-        assert_eq!(r.chain_fill_cycles, r.fill_cycles);
-        // Re-serializing produces a v3 section that round-trips exactly.
-        let back =
-            PipelineReport::from_json(&Value::parse(&r.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(r, back);
     }
 
     #[test]

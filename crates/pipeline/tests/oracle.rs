@@ -6,7 +6,10 @@
 //! compute *identical* arithmetic, not merely close results) and, for the
 //! traced cases, event-list equality on the canonical sidecar. Random
 //! frame counts run from 0 to 60; capacities cover tight channels,
-//! channels larger than the run, and `usize::MAX`.
+//! channels larger than the run, and `usize::MAX`. Untraced runs of 500
+//! to 10,000 frames check the periodic fast-forward, which only long
+//! runs reach far enough to use; traced runs never fast-forward and keep
+//! to short runs, since their buffers grow with the frame count.
 
 use morph_pipeline::{simulate, simulate_traced, EdgeSpec, PipelineSpec, StageSpec};
 use morph_tensor::rng::XorShift as Rng;
@@ -60,6 +63,51 @@ fn diamond() -> PipelineSpec {
     }
 }
 
+/// Two weakly connected components with interleaved stage indices and
+/// unequal bottlenecks (Two_Stream's shape): each stage after the first
+/// two joins a random side and draws 1–2 in-edges from earlier stages on
+/// that side.
+fn arb_two_streams(rng: &mut Rng) -> PipelineSpec {
+    let n = rng.range(4, 13);
+    let side: Vec<usize> = (0..n)
+        .map(|i| if i < 2 { i } else { rng.range(0, 2) })
+        .collect();
+    let mut stages: Vec<StageSpec> = (0..n)
+        .map(|i| st(&format!("t{i}"), rng.range(1, 50) as u64))
+        .collect();
+    // Side 1's bottleneck is strictly slower than side 0's.
+    let slowest = |stages: &[StageSpec], k| {
+        (0..n)
+            .filter(|&i| side[i] == k)
+            .map(|i| stages[i].service_cycles)
+            .max()
+            .unwrap_or(0)
+    };
+    stages[1].service_cycles = slowest(&stages, 0) + rng.range(1, 20) as u64;
+    let mut edges: Vec<EdgeSpec> = Vec::new();
+    for to in 2..n {
+        let earlier: Vec<usize> = (0..to).filter(|&i| side[i] == side[to]).collect();
+        for _ in 0..rng.range(1, 3) {
+            let from = earlier[rng.range(0, earlier.len())];
+            if !edges.iter().any(|e| e.from == from && e.to == to) {
+                let capacity = rng.range(1, 10);
+                edges.push(EdgeSpec { from, to, capacity });
+            }
+        }
+    }
+    PipelineSpec { stages, edges }
+}
+
+/// `spec` with every service redrawn within a few cycles of one base:
+/// near-tied stages fill their channels slowly, so transients run long.
+fn near_tied(rng: &mut Rng, mut spec: PipelineSpec) -> PipelineSpec {
+    let base = rng.range(50, 5000) as u64;
+    for s in &mut spec.stages {
+        s.service_cycles = base + rng.range(0, 7) as u64 - 3;
+    }
+    spec
+}
+
 /// Assert both formulations agree on `spec` untraced.
 fn assert_stats_match(case: usize, spec: &PipelineSpec, frames: u64) {
     let oracle = event_loop::simulate(spec, frames);
@@ -72,8 +120,9 @@ fn assert_stats_match(case: usize, spec: &PipelineSpec, frames: u64) {
 }
 
 /// Assert both formulations agree on `spec` traced — stats and sidecar
-/// events — and that tracing leaves the stats unchanged. Returns the
-/// number of events recorded.
+/// events — and that tracing leaves the stats unchanged: the traced run
+/// is evaluated frame by frame, the untraced one may fast-forward.
+/// Returns the number of events recorded.
 fn assert_sidecars_match(case: usize, spec: &PipelineSpec, frames: u64) -> usize {
     let (oracle_buf, buf) = (TraceBuffer::new(), TraceBuffer::new());
     let oracle = event_loop::simulate_traced(spec, frames, &oracle_buf);
@@ -149,5 +198,79 @@ fn wide_dags_with_unbounded_channels_match_the_oracle() {
         let spec = arb_wide_dag(&mut rng, frames);
         assert_stats_match(case, &spec, frames);
         assert_sidecars_match(case, &spec, frames);
+    }
+}
+
+#[test]
+fn hand_built_long_runs_match_the_oracle() {
+    // A diamond and two unequal streams repeat early, a bypass around a
+    // tight channel with period 2; a head one cycle faster than its tail
+    // drifts for the whole run.
+    let mut bypass = PipelineSpec::chain(
+        vec![
+            st("s0", 1),
+            st("s1", 7),
+            st("s2", 7),
+            st("s3", 4),
+            st("s4", 2),
+        ],
+        &[2, 1, 2, 2],
+    );
+    bypass.edges.push(EdgeSpec {
+        from: 0,
+        to: 4,
+        capacity: 2,
+    });
+    let streams = PipelineSpec::chain(
+        vec![
+            st("a0", 4),
+            st("a1", 11),
+            st("a2", 6),
+            st("b0", 3),
+            st("b1", 8),
+        ],
+        &[2, 3, 1, 2],
+    );
+    let streams = PipelineSpec {
+        edges: streams.edges.into_iter().filter(|e| e.from != 2).collect(),
+        ..streams
+    };
+    let drift = PipelineSpec::chain(vec![st("head", 999_999), st("tail", 1_000_000)], &[9]);
+    for (case, spec) in [diamond(), bypass, streams, drift].iter().enumerate() {
+        assert_stats_match(case, spec, 10_000);
+    }
+}
+
+#[test]
+fn long_random_runs_match_the_oracle_bit_for_bit() {
+    let mut rng = Rng::new(0x0010_6F4A);
+    for case in 0..160 {
+        let frames = rng.range(500, 5001) as u64;
+        let spec = match case % 5 {
+            0 => arb_chain(&mut rng),
+            1 => arb_dag(&mut rng),
+            2 => {
+                let spec = arb_chain(&mut rng);
+                near_tied(&mut rng, spec)
+            }
+            3 => {
+                let spec = arb_dag(&mut rng);
+                near_tied(&mut rng, spec)
+            }
+            _ => arb_two_streams(&mut rng),
+        };
+        assert_stats_match(case, &spec, frames);
+    }
+}
+
+#[test]
+fn long_runs_with_a_channel_longer_than_the_run_match_the_oracle() {
+    let mut rng = Rng::new(0x0B16_0CA9);
+    for case in 0..40 {
+        let frames = rng.range(500, 2001) as u64;
+        let mut spec = arb_dag(&mut rng);
+        let e = rng.range(0, spec.edges.len());
+        spec.edges[e].capacity = frames as usize + rng.range(0, 3);
+        assert_stats_match(case, &spec, frames);
     }
 }

@@ -453,62 +453,6 @@ fn pareto_sweep_invariants_hold_through_the_public_api() {
     assert_eq!(back, capped);
 }
 
-/// Schema v3 documents (no allocation/power fields) upgrade on read: the
-/// report parses at the current schema with those fields marked
-/// unrecorded and keeps every pre-existing number.
-#[test]
-fn v3_documents_upgrade_on_read() {
-    let rep = Session::builder()
-        .backend(Eyeriss::new())
-        .network(forked())
-        .pipeline(PipelineMode::Analytic)
-        .build()
-        .run();
-    // Rewrite the serialized document into its v3 shape.
-    let mut doc = morph_json::Value::parse(&rep.to_json_string()).unwrap();
-    let morph_json::Value::Obj(top) = &mut doc else {
-        panic!()
-    };
-    top.insert("schema".into(), morph_json::Value::Int(3));
-    let Some(morph_json::Value::Arr(runs)) = top.get_mut("runs") else {
-        panic!()
-    };
-    for run in runs {
-        let morph_json::Value::Obj(run) = run else {
-            panic!()
-        };
-        let Some(morph_json::Value::Obj(p)) = run.get_mut("pipeline") else {
-            panic!()
-        };
-        p.remove("energy_per_frame_pj");
-        p.remove("peak_power_mw");
-        p.remove("pareto");
-        let Some(morph_json::Value::Arr(stages)) = p.get_mut("stages") else {
-            panic!()
-        };
-        for stage in stages {
-            let morph_json::Value::Obj(stage) = stage else {
-                panic!()
-            };
-            stage.remove("clusters");
-        }
-    }
-    let upgraded = RunReport::from_json_str(&doc.pretty()).unwrap();
-    assert_eq!(upgraded.schema, morph_core::SCHEMA_VERSION);
-    let p = upgraded.runs[0].pipeline.as_ref().unwrap();
-    assert_eq!(p.energy_per_frame_pj, 0.0);
-    assert_eq!(p.peak_power_mw, 0.0);
-    assert!(p.pareto.is_none());
-    assert!(p.stages.iter().all(|s| s.clusters == 0));
-    let orig = rep.runs[0].pipeline.as_ref().unwrap();
-    assert_eq!(p.steady_fps, orig.steady_fps);
-    assert_eq!(p.fill_cycles, orig.fill_cycles);
-    assert_eq!(upgraded.runs[0].layers, rep.runs[0].layers);
-    // Upgraded reports round-trip exactly through the v4 writer.
-    let again = RunReport::from_json_str(&upgraded.to_json_string()).unwrap();
-    assert_eq!(again, upgraded);
-}
-
 /// A full-chip, one-element sweep overrides the backend's built-time
 /// objective: a latency-objective search is at least as fast as the
 /// energy-optimal one.
