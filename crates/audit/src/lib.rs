@@ -21,13 +21,13 @@
 //!   completeness, parallelism vs the cluster budget's PEs, and search
 //!   stats arithmetic.
 //! * [`graph`] — a [`morph_pipeline::PipelineSpec`] is statically proved
-//!   deadlock-free and throughput-clean without running the engine: the
-//!   channel wait-for graph is built for *arbitrary* edge lists (no
-//!   forward-only assumption), knots — strongly connected components
-//!   that starve forever from the all-empty start state — are detected
-//!   and named, and every reconvergent (skip) edge gets a minimum-
-//!   capacity certificate ([`graph::capacity_certificates`]): it must
-//!   buffer at least the depth of the longest parallel path it
+//!   deadlock-free and throughput-clean without running the engine:
+//!   every channel must point forward in stage order, which makes index
+//!   order topological and the wait-for relation acyclic (every channel
+//!   cycle holds a backward edge, and a cycle starves forever from the
+//!   all-empty start state), and every reconvergent (skip) edge gets a
+//!   minimum-capacity certificate ([`graph::capacity_certificates`]): it
+//!   must buffer at least the depth of the longest parallel path it
 //!   shortcuts, or the join would throttle the pipeline below its
 //!   bottleneck rate.
 //! * [`report`] — a serialized `RunReport` document (schema v6) is

@@ -30,20 +30,13 @@ const REL_TOL: f64 = 1e-9;
 const SCHEMA_RANGE: std::ops::RangeInclusive<i64> = 6..=6;
 
 /// Context the report pass needs from outside the document: which chips
-/// the backends named in it ran on, and how strictly to police cluster
-/// shares.
+/// the backends named in it ran on.
 #[derive(Debug, Clone, Default)]
 pub struct ReportContext {
     /// `(backend display name, chip cluster count)` pairs. Runs whose
     /// backend is not listed skip the cluster-budget checks (the document
     /// alone does not say how big the chip was).
     pub backend_clusters: Vec<(String, u64)>,
-    /// When set, concurrently-live stage groups must fit the chip budget
-    /// *jointly* (co-resident execution). The schedulers legitimately
-    /// over-subscribe groups and time-multiplex them (peak power is
-    /// derated accordingly), so this is off by default and exists for
-    /// harnesses that require genuine co-residency.
-    pub strict_coresidency: bool,
 }
 
 impl ReportContext {
@@ -232,7 +225,7 @@ fn audit_run(index: usize, run: &Value, ctx: &ReportContext, out: &mut Vec<Viola
 
     match run.get("pipeline") {
         None | Some(Value::Null) => {}
-        Some(p) => audit_pipeline(p, &subj, layers.len(), ctx.clusters_for(backend), ctx, out),
+        Some(p) => audit_pipeline(p, &subj, layers.len(), ctx.clusters_for(backend), out),
     }
 }
 
@@ -261,7 +254,6 @@ fn audit_pipeline(
     run_subj: &str,
     layer_count: usize,
     chip_clusters: Option<u64>,
-    ctx: &ReportContext,
     out: &mut Vec<Violation>,
 ) {
     let subj = format!("{run_subj} pipeline");
@@ -302,7 +294,6 @@ fn audit_pipeline(
     let frames = p.get("frames").and_then(Value::as_i64);
     let makespan = p.get("makespan_cycles").and_then(Value::as_i64);
 
-    let mut shares: Vec<u64> = Vec::with_capacity(stages.len());
     for (j, s) in stages.iter().enumerate() {
         let name = s.get("name").and_then(Value::as_str).unwrap_or("?");
         let ssubj = format!("{subj} stage[{j}] {name}");
@@ -362,7 +353,6 @@ fn audit_pipeline(
         // clusters: 0 = unrecorded (pre-v4); a recorded share must be a
         // positive share of the chip the run executed on.
         let share = s.get("clusters").and_then(Value::as_u64).unwrap_or(0);
-        shares.push(share);
         if let Some(chip) = chip_clusters {
             if share > chip {
                 out.push(v(
@@ -376,7 +366,6 @@ fn audit_pipeline(
 
     // Scheduled DAG channels.
     let edges = p.get("edges").and_then(Value::as_arr).unwrap_or_default();
-    let mut dag: Vec<(usize, usize)> = Vec::new();
     for e in edges {
         let get = |k: &str| e.get(k).and_then(Value::as_i64);
         let (Some(from), Some(to), Some(cap)) = (get("from"), get("to"), get("capacity")) else {
@@ -404,7 +393,6 @@ fn audit_pipeline(
             ));
             continue;
         }
-        dag.push((from as usize, to as usize));
         if let Some(occ) = get("max_occupancy") {
             if occ > cap {
                 out.push(v(
@@ -421,36 +409,6 @@ fn audit_pipeline(
                     &esubj,
                     format!("mean occupancy {mean} outside [0, {cap}]"),
                 ));
-            }
-        }
-    }
-
-    // Strict co-residency: concurrently-live groups must fit the chip
-    // jointly. Groups are re-derived independently of the scheduler as
-    // longest-path levels of the scheduled DAG: edges point strictly
-    // forward, so equal-level stages are mutually unreachable — a family
-    // of antichains covering the concurrency structure.
-    if ctx.strict_coresidency && !dag.is_empty() {
-        if let Some(chip) = chip_clusters {
-            let n = stages.len();
-            let mut level = vec![0usize; n];
-            for &(from, to) in &dag {
-                level[to] = level[to].max(level[from] + 1);
-            }
-            let max_level = level.iter().copied().max().unwrap_or(0);
-            for l in 0..=max_level {
-                let members: Vec<usize> = (0..n).filter(|&i| level[i] == l).collect();
-                let demand: u64 = members.iter().map(|&i| shares[i]).sum();
-                if demand > chip {
-                    out.push(v(
-                        "group-demand-exceeds-chip",
-                        &subj,
-                        format!(
-                            "concurrent stage group {members:?} demands {demand} clusters, \
-                             chip has {chip}"
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -974,118 +932,6 @@ mod tests {
         assert!(Violation::any_rule(
             &audit_value(&d, &ctx()),
             "occupancy-exceeds-capacity"
-        ));
-    }
-
-    #[test]
-    fn strict_coresidency_flags_oversubscribed_group() {
-        let mut d = doc();
-        // Two chained stages never run concurrently (different levels), so
-        // make them concurrent: drop the edge and give both big shares.
-        *at(
-            &mut d,
-            &[Key("runs"), Idx(0), Key("pipeline"), Key("edges")],
-        ) = Value::Arr(vec![Value::parse(
-            r#"{"from": 0, "to": 1, "capacity": 2, "max_occupancy": 0, "mean_occupancy": 0.0}"#,
-        )
-        .unwrap()]);
-        *at(
-            &mut d,
-            &[
-                Key("runs"),
-                Idx(0),
-                Key("pipeline"),
-                Key("stages"),
-                Idx(0),
-                Key("clusters"),
-            ],
-        ) = Value::Int(5);
-        *at(
-            &mut d,
-            &[
-                Key("runs"),
-                Idx(0),
-                Key("pipeline"),
-                Key("stages"),
-                Idx(1),
-                Key("clusters"),
-            ],
-        ) = Value::Int(5);
-        // Chained stages sit at different levels: no violation even strictly.
-        let strict = ReportContext {
-            strict_coresidency: true,
-            ..ctx()
-        };
-        assert!(!Violation::any_rule(
-            &audit_value(&d, &strict),
-            "group-demand-exceeds-chip"
-        ));
-        // A diamond's branch stages share a level; 5 + 5 > 6 must fire.
-        let text = r#"[
-          {"from": 0, "to": 1, "capacity": 1, "max_occupancy": 0, "mean_occupancy": 0.0}
-        ]"#;
-        let _ = text; // (kept simple: reuse the two-stage run as one level)
-        *at(
-            &mut d,
-            &[Key("runs"), Idx(0), Key("pipeline"), Key("edges")],
-        ) = Value::Arr(Vec::new());
-        let violations = audit_value(&d, &strict);
-        // With no edges the strict check is skipped (no DAG to group).
-        assert!(!Violation::any_rule(
-            &violations,
-            "group-demand-exceeds-chip"
-        ));
-    }
-
-    #[test]
-    fn strict_coresidency_flags_branch_group() {
-        // Three stages: 0 forks to 1 and 2; branches hold 4 + 4 > 6.
-        let text = r#"{
-          "schema": 6,
-          "runs": [{
-            "backend": "Morph", "network": "fork", "objective": "edp",
-            "cache_hits": 0,
-            "layers": [], "edges": [],
-            "total": {"dram_pj": 0.0, "l2_pj": 0.0, "l1_pj": 0.0, "l0_pj": 0.0,
-                      "noc_pj": 0.0, "compute_pj": 0.0, "static_pj": 0.0,
-                      "cycles": {"compute": 0, "dram": 0, "l2_l1": 0, "l1_l0": 0,
-                                 "total": 0, "ideal": 0}, "maccs": 0},
-            "pipeline": {
-              "mode": "dag_rebalanced", "frames": 4, "clock_hz": 1000000000,
-              "makespan_cycles": 100, "fill_cycles": 10, "drain_cycles": 10,
-              "steady_fps": 1.0, "serial_fps": 1.0, "chain_fps": 1.0,
-              "chain_fill_cycles": 10, "bottleneck": "s1",
-              "energy_per_frame_pj": 1.0, "peak_power_mw": 1.0,
-              "stages": [
-                {"name": "s0", "service_cycles": 10, "base_service_cycles": 10,
-                 "rebalanced": false, "utilization": 0.9, "blocked_cycles": 0, "clusters": 6},
-                {"name": "s1", "service_cycles": 10, "base_service_cycles": 10,
-                 "rebalanced": false, "utilization": 0.9, "blocked_cycles": 0, "clusters": 4},
-                {"name": "s2", "service_cycles": 10, "base_service_cycles": 10,
-                 "rebalanced": false, "utilization": 0.9, "blocked_cycles": 0, "clusters": 4}
-              ],
-              "edges": [
-                {"from": 0, "to": 1, "capacity": 1, "max_occupancy": 1, "mean_occupancy": 0.5},
-                {"from": 0, "to": 2, "capacity": 1, "max_occupancy": 1, "mean_occupancy": 0.5}
-              ],
-              "pareto": null
-            }
-          }]
-        }"#;
-        let d = Value::parse(text).unwrap();
-        let strict = ReportContext {
-            strict_coresidency: true,
-            ..ctx()
-        };
-        let violations = audit_value(&d, &strict);
-        assert!(
-            Violation::any_rule(&violations, "group-demand-exceeds-chip"),
-            "{violations:?}"
-        );
-        // Default policy accepts time-multiplexed over-subscription.
-        assert!(!Violation::any_rule(
-            &audit_value(&d, &ctx()),
-            "group-demand-exceeds-chip"
         ));
     }
 

@@ -175,8 +175,8 @@ fn main() -> ExitCode {
                 &violations,
             );
             // Capacity certificates: the positive half of the proof. An
-            // empty list on a non-trivial DAG means no topological order
-            // exists — the knot violation above owns that case.
+            // empty list on a non-trivial DAG means some channel points
+            // backward — the backward-edge violation above owns that case.
             let certs = graph::capacity_certificates(&spec);
             if violations.is_empty() && !certs.is_empty() {
                 let floors: Vec<String> = certs

@@ -111,14 +111,7 @@ fn best_energy(shape: &ConvShape, depth: usize) -> f64 {
                     continue;
                 }
                 let e = capacity_matched_energy(shape, &cfg, depth);
-                if e < best {
-                    if std::env::var("FIG5_DEBUG").is_ok() {
-                        eprintln!(
-                            "depth {depth}: {e:.3e} bottom {bottom:?} order {order} inner {inner}"
-                        );
-                    }
-                    best = e;
-                }
+                best = best.min(e);
             }
         }
     }

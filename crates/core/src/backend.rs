@@ -8,7 +8,6 @@
 //! and process technology node. A [`crate::Session`] drives any set of
 //! backends (trait objects) over any set of networks.
 
-use morph_check::sync::Mutex;
 use morph_dataflow::arch::ArchSpec;
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::Parallelism;
@@ -20,7 +19,7 @@ use morph_tensor::shape::ConvShape;
 use morph_trace::Recorder;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The dataflow mapping a backend chose for one layer.
 ///
@@ -132,6 +131,10 @@ fn eval_of(d: &LayerDecision) -> LayerEval {
 /// Fetch or lazily build the optimizer for a reduced-cluster provisioning,
 /// sharing the backend's decision store (each optimizer keys its entries
 /// by its own cluster count, so variants never collide).
+///
+/// The build runs under the lock. If it panics, the map is left without
+/// that entry and the lock poisoned; poison is ignored, so other workers
+/// carry on and `par_map` re-raises the original panic.
 fn budgeted_optimizer(
     budgeted: &Mutex<HashMap<usize, Arc<Optimizer>>>,
     arch: ArchSpec,
@@ -139,7 +142,8 @@ fn budgeted_optimizer(
     store: &Arc<DecisionStore>,
     build: impl FnOnce(ArchSpec) -> Optimizer,
 ) -> Arc<Optimizer> {
-    Arc::clone(budgeted.lock().entry(clusters).or_insert_with(|| {
+    let mut map = budgeted.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(clusters).or_insert_with(|| {
         Arc::new(build(ArchSpec { clusters, ..arch }).with_store(Arc::clone(store)))
     }))
 }
@@ -903,6 +907,40 @@ mod tests {
         budgeted(&m, &sh, Objective::Energy, 99);
         assert_eq!(store.len(), 2);
         assert!(Eyeriss::new().decision_store().is_none());
+    }
+
+    /// Workers racing one sub-chip budget on one backend build its
+    /// optimizer once between them: all get the same decision, and the
+    /// shared store memoizes the key once.
+    #[test]
+    fn budgeted_optimizer_map_is_coherent_under_races() {
+        const WORKERS: usize = 8;
+        let shape = ConvShape::new_2d(4, 4, 2, 4, 1, 1);
+        for round in 0..16 {
+            let back = Morph::builder().effort(Effort::Fast).build();
+            let start = std::sync::Barrier::new(WORKERS);
+            let evals: Vec<LayerEval> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..WORKERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            budgeted(&back, &shape, Objective::Energy, 2)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(
+                evals.windows(2).all(|w| w[0] == w[1]),
+                "round {round}: racing identical budgeted searches must agree"
+            );
+            let store = back.decision_store().expect("Morph shares a store");
+            assert_eq!(
+                store.len(),
+                1,
+                "round {round}: one decision for one (shape, objective, budget)"
+            );
+        }
     }
 
     /// A recorder attached at the builder reaches the full-chip optimizer

@@ -7,8 +7,8 @@
 //! keeps long searches — early C3D layers take much longer than late ones —
 //! from serializing behind a static partition.
 
-use morph_check::sync::AtomicCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
@@ -23,10 +23,9 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// Map `f` over `items` on up to `threads` scoped worker threads,
 /// preserving input order in the result.
 ///
-/// The cursor and the scope come from the `morph-check` shim, so the
-/// pool's claim — every index produced exactly once, all workers joined —
-/// is model-checked against the shipping code (see
-/// `crates/core/tests/model_par.rs`).
+/// Each worker claims its next index with one `fetch_add` on a shared
+/// cursor, so every index is evaluated exactly once; results come back
+/// through the scoped joins.
 ///
 /// `threads <= 1` (or a short input) degrades to a plain sequential map.
 ///
@@ -48,18 +47,7 @@ where
 {
     let n = items.len();
     let eval = |i: usize, t: &T| -> Result<R, (usize, String)> {
-        match catch_unwind(AssertUnwindSafe(|| f(t))) {
-            Ok(r) => Ok(r),
-            Err(p) => {
-                // Model-checker aborts must pass through untouched or
-                // aborted explorations would be misreported as user
-                // panics.
-                if morph_check::panic_payload_is_abort(p.as_ref()) {
-                    morph_check::resume_abort(p);
-                }
-                Err((i, panic_message(p.as_ref())))
-            }
-        }
+        catch_unwind(AssertUnwindSafe(|| f(t))).map_err(|p| (i, panic_message(p.as_ref())))
     };
     let first_failure = |(i, msg): &(usize, String), swallowed: usize| -> ! {
         panic!("par_map worker panicked at item {i}: {msg} ({swallowed} later panic(s) swallowed)")
@@ -72,18 +60,21 @@ where
             .collect();
     }
     let workers = threads.min(n);
-    let cursor = AtomicCell::new(0usize);
+    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
 
     type WorkerOut<R> = (Vec<(usize, R)>, Vec<(usize, String)>);
-    let produced: Vec<WorkerOut<R>> = morph_check::thread::scope(|scope| {
+    let produced: Vec<WorkerOut<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     let mut failed = Vec::new();
                     loop {
-                        let i = cursor.fetch_add(1);
+                        // Relaxed suffices: the cursor publishes no data
+                        // (items are shared before the spawn, results
+                        // come back through the join).
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }

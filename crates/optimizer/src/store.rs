@@ -17,12 +17,12 @@
 //! every thread count.
 
 use crate::search::{LayerDecision, Objective};
-use morph_check::sync::Mutex;
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::Parallelism;
 use morph_energy::EnergyReport;
 use morph_tensor::shape::ConvShape;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counters of one mapping search (or an aggregate of many): how much of
 /// the candidate stream the branch-and-bound loop actually had to cost.
@@ -145,53 +145,55 @@ impl DecisionStore {
         Self::default()
     }
 
+    /// The table, locked. Every critical section is one map operation,
+    /// so a poisoned lock still guards a whole table: take it rather than
+    /// cascade another thread's panic.
+    fn table(&self) -> MutexGuard<'_, HashMap<StoreKey, StoredDecision>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Look up a memoized decision.
     pub fn get(&self, key: &StoreKey) -> Option<StoredDecision> {
-        self.entries.lock().get(key).cloned()
+        self.table().get(key).cloned()
     }
 
     /// True if `key` is already decided.
     pub fn contains(&self, key: &StoreKey) -> bool {
-        self.entries.lock().contains_key(key)
+        self.table().contains_key(key)
     }
 
     /// Memoize a decision. The first write for a key wins — concurrent
     /// duplicate searches compute identical decisions, and keeping the
     /// first keeps the recorded stats deterministic.
     pub fn insert(&self, key: StoreKey, decision: StoredDecision) {
-        self.entries.lock().entry(key).or_insert(decision);
+        self.table().entry(key).or_insert(decision);
     }
 
     /// Number of memoized decisions.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.table().len()
     }
 
     /// True when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.table().is_empty()
     }
 
     /// Snapshot of every memoized key.
     pub fn keys(&self) -> Vec<StoreKey> {
-        self.entries.lock().keys().copied().collect()
+        self.table().keys().copied().collect()
     }
 
     /// Snapshot of every memoized `(key, decision)` pair. The clone is
     /// taken under the lock so external verifiers (the audit layer) see a
     /// consistent view without holding up concurrent searches.
     pub fn entries(&self) -> Vec<(StoreKey, StoredDecision)> {
-        self.entries
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+        self.table().iter().map(|(k, v)| (*k, v.clone())).collect()
     }
 
     /// Aggregate search stats over every memoized decision.
     pub fn stats(&self) -> SearchStats {
-        self.entries
-            .lock()
+        self.table()
             .values()
             .fold(SearchStats::default(), |acc, e| acc.add(&e.stats))
     }
@@ -199,7 +201,7 @@ impl DecisionStore {
     /// Drop every memoized decision (search-space changes invalidate the
     /// store).
     pub fn clear(&self) {
-        self.entries.lock().clear();
+        self.table().clear();
     }
 }
 

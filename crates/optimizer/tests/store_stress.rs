@@ -1,13 +1,6 @@
-//! Real-threads stress test for the shared [`DecisionStore`] — the
-//! complement of the model-checked suite in `model_store.rs`. The model
-//! checker proves the properties over every interleaving of a *small*
-//! schedule space; this test hammers the store with genuinely parallel OS
-//! threads (no scheduler serialization: outside the checker the
-//! morph-check shim is a thin std wrapper) to shake out anything the
-//! bounded model misses at scale.
-//!
-//! Thread count comes from `MORPH_TEST_THREADS` (default 8). Each repeat
-//! must produce the identical entry count and identical aggregate
+//! Real-threads stress test for the shared [`DecisionStore`]: sixteen
+//! OS threads race inserts and reads of the same keys. Each repeat must
+//! produce the identical entry count and identical aggregate
 //! [`SearchStats`] — the determinism the budgeted sweep's reports rely
 //! on.
 
@@ -17,13 +10,8 @@ use morph_optimizer::search::Objective;
 use morph_optimizer::store::{DecisionStore, SearchStats, StoredDecision};
 use morph_tensor::shape::ConvShape;
 
-fn threads() -> usize {
-    std::env::var("MORPH_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-        .max(2)
-}
+/// Worker threads per hammering round.
+const THREADS: usize = 16;
 
 fn entry(cycles: u64, stats: SearchStats) -> StoredDecision {
     let mut report = EnergyReport::zero();
@@ -54,14 +42,14 @@ fn stats_for(k: usize) -> SearchStats {
     }
 }
 
-/// One full hammering round: `threads()` workers race inserts and reads
+/// One full hammering round: [`THREADS`] workers race inserts and reads
 /// of `keys` distinct keys, every key inserted by every worker, with
 /// interleaved read-back checks. Returns the end-state summary.
 fn hammer(keys: usize, rounds: usize) -> (usize, SearchStats) {
     let store = DecisionStore::new();
     let store = &store;
     std::thread::scope(|s| {
-        for t in 0..threads() {
+        for t in 0..THREADS {
             s.spawn(move || {
                 for r in 0..rounds {
                     // Walk the key space in a thread-dependent order so

@@ -48,9 +48,9 @@
 //! assert_eq!(bounds, Some((0, 30)));
 //! ```
 
-use morph_check::sync::Mutex;
 use morph_json::Value;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What kind of mark a [`TraceEvent`] is.
 ///
@@ -200,9 +200,16 @@ impl TraceBuffer {
         Self::default()
     }
 
+    /// The event log, locked. Every critical section is one push or one
+    /// read, so a poisoned lock still guards a whole log: take it rather
+    /// than cascade another thread's panic.
+    fn log(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.log().len()
     }
 
     /// True when nothing has been recorded.
@@ -212,20 +219,14 @@ impl TraceBuffer {
 
     /// Snapshot of the recorded events in call order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.log().clone()
     }
 
     /// A new buffer holding only the events `keep` accepts, in order.
     /// Used to split one mixed-clock recording into per-domain sidecar
     /// files (e.g. simulated-cycle tracks vs wall-clock tracks).
     pub fn filter(&self, keep: impl Fn(&TraceEvent) -> bool) -> TraceBuffer {
-        let kept: Vec<TraceEvent> = self
-            .events
-            .lock()
-            .iter()
-            .filter(|e| keep(e))
-            .cloned()
-            .collect();
+        let kept: Vec<TraceEvent> = self.log().iter().filter(|e| keep(e)).cloned().collect();
         TraceBuffer {
             events: Mutex::new(kept),
         }
@@ -241,7 +242,7 @@ impl TraceBuffer {
     /// carried in a top-level `morph_bounds` field the trace audit pass
     /// reads back; viewers ignore it.
     pub fn to_perfetto(&self, bounds: Option<(u64, u64)>) -> Value {
-        let events = self.events.lock();
+        let events = self.log();
         let mut tids: BTreeMap<&str, i64> = BTreeMap::new();
         for e in events.iter() {
             let next = tids.len() as i64 + 1;
@@ -412,7 +413,7 @@ impl Recorder for TraceBuffer {
     }
 
     fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        self.log().push(event);
     }
 }
 
@@ -553,6 +554,42 @@ mod tests {
         assert_eq!(evs[3].phase, Phase::Instant);
         assert_eq!(evs[4].phase, Phase::End);
         assert_eq!(evs[4].ts, 4);
+    }
+
+    /// Workers recording into one buffer at once lose no event, and
+    /// each worker's track keeps its call order.
+    #[test]
+    fn concurrent_recording_loses_no_events() {
+        const WORKERS: usize = 8;
+        const EVENTS: u64 = 2000;
+        let buf = TraceBuffer::new();
+        let start = std::sync::Barrier::new(WORKERS);
+        std::thread::scope(|s| {
+            for t in 0..WORKERS {
+                let (buf, start) = (&buf, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..EVENTS {
+                        buf.instant(&format!("track{t}"), "tick", i);
+                    }
+                });
+            }
+        });
+        assert_eq!(buf.len(), WORKERS * EVENTS as usize, "an event was lost");
+        let events = buf.events();
+        for t in 0..WORKERS {
+            let track = format!("track{t}");
+            let ts: Vec<u64> = events
+                .iter()
+                .filter(|e| e.track == track)
+                .map(|e| e.ts)
+                .collect();
+            assert_eq!(
+                ts,
+                (0..EVENTS).collect::<Vec<_>>(),
+                "{track} order scrambled"
+            );
+        }
     }
 
     #[test]
