@@ -24,9 +24,9 @@ use morph_json::Value;
 const REL_TOL: f64 = 1e-9;
 
 /// Schema range this auditor understands (mirrors
-/// `morph_core::report::{MIN_SCHEMA_VERSION, SCHEMA_VERSION}` — stated
-/// here independently on purpose: the auditor must not drift with the
-/// code it checks without a reviewer noticing).
+/// `morph_core::report::SCHEMA_VERSION`, the one schema reports are read
+/// at — stated here independently on purpose, so the auditor cannot
+/// silently drift with the code it checks).
 const SCHEMA_RANGE: std::ops::RangeInclusive<i64> = 6..=6;
 
 /// Context the report pass needs from outside the document: which chips

@@ -11,14 +11,12 @@
 //! * `full (Morph)` — + parallelism search.
 
 use morph_bench::{emit_report, print_table};
-use morph_core::{ArchSpec, Morph, MorphBase, Parallelism, Session};
+use morph_core::{Morph, MorphBase, Session};
 use morph_nets::zoo;
 use morph_tensor::order::LoopOrder;
 
 fn main() {
-    let arch = ArchSpec::morph();
     let effort = morph_bench::effort_from_env();
-    let base_par = Parallelism::base(&arch);
 
     let report = Session::builder()
         .backend(
@@ -33,14 +31,14 @@ fn main() {
                 .effort(effort)
                 .outer_orders(vec![LoopOrder::base_outer()])
                 .inner_orders(vec![LoopOrder::base_inner()])
-                .parallelism(base_par)
+                .base_parallelism()
                 .name("+buffers")
                 .build(),
         )
         .backend(
             Morph::builder()
                 .effort(effort)
-                .parallelism(base_par)
+                .base_parallelism()
                 .name("+orders")
                 .build(),
         )

@@ -17,11 +17,11 @@
 //!   `MORPH_EFFORT=thorough`, where the ratio is far larger but the
 //!   exhaustive reference is very slow).
 //!
-//! A third invariant covers budget sweeps, whose searches share one
-//! `SweepState`: on Two_Stream, for Morph and Morph_base under every
-//! objective, a sweep over budgets `1..=6` returns for every budget the
-//! decision of that budget's exhaustive search (which always starts from
-//! an empty state).
+//! A third invariant covers budget sweeps (`Optimizer::search_sweep`),
+//! whose searches share their budget-independent work: on Two_Stream, for
+//! Morph and Morph_base under every objective, a sweep over budgets
+//! `1..=6` returns for every budget the decision of the exhaustive search
+//! of an optimizer built on that budget's chip (which shares nothing).
 //!
 //! A fourth runs at `Effort::Thorough` whatever `MORPH_EFFORT` says: on
 //! a small 2D and a small 3D layer, under every objective, the pruned
@@ -286,8 +286,8 @@ fn main() {
     }
     println!(
         "\nSwept searches: {swept} budget decisions (Two_Stream x {{Morph, Morph_base}} x 3 \
-         objectives x budgets 1..=6, each sweep sharing one SweepState) equal the exhaustive \
-         reference's, asserted decision by decision."
+         objectives x budgets 1..=6, each sweep sharing its budget-independent work) equal the \
+         exhaustive reference's, asserted decision by decision."
     );
     // Thorough pruned vs exhaustive on layers small enough to enumerate.
     let thorough: Vec<Vec<String>> = objectives.into_iter().flat_map(check_thorough).collect();

@@ -1,8 +1,7 @@
 //! # morph-bench
 //!
 //! Experiment harness for the Morph reproduction: one binary per figure
-//! and table of the paper's evaluation (see `src/bin/`), plus
-//! micro-benchmarks of the simulator itself (see `benches/`).
+//! and table of the paper's evaluation (see `src/bin/`).
 //!
 //! Every binary prints a self-describing table to stdout; binaries that
 //! evaluate accelerator backends build a [`morph_core::Session`] and

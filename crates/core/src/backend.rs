@@ -12,14 +12,14 @@ use morph_dataflow::arch::ArchSpec;
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::Parallelism;
 use morph_energy::{EnergyModel, EnergyReport, TechNode};
-use morph_optimizer::{DecisionStore, Effort, LayerDecision, Objective, Optimizer, SweepState};
+use morph_optimizer::{DecisionStore, Effort, LayerDecision, Objective, Optimizer};
 use morph_pipeline::PipelineCaps;
 use morph_tensor::order::LoopOrder;
 use morph_tensor::shape::ConvShape;
 use morph_trace::Recorder;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// The dataflow mapping a backend chose for one layer.
 ///
@@ -75,16 +75,16 @@ pub trait Backend: Send + Sync {
     /// makes; a single decision is a one-element sweep. A budget of `c`
     /// runs the mapping search on the same architecture with only `c`
     /// compute clusters (the shared L2 stays whole — branch stages split
-    /// compute, not the last-level buffer). Budgets are clamped to
-    /// `1..=clusters`: 0 means one cluster, anything past the chip means
-    /// the whole chip. Searched backends walk the budgets ascending and
-    /// **warm-start** each budget's branch-and-bound search with the
-    /// neighboring budget's best decision, sharing one
-    /// [`SweepState`] across the walk so each row's hierarchy allocation
-    /// is paid once per sweep, so a sweep over the whole chip costs little
-    /// more than one cold search. Results come back in the order of
-    /// `budgets`. The default maps [`Backend::evaluate_layer`] over them:
-    /// fixed-dataflow backends ignore objective and budget.
+    /// compute, not the last-level buffer). Budgets are clamped to the
+    /// chip ([`ArchSpec::clamp_budget`]): 0 means one cluster, anything
+    /// past the chip means the whole chip. Searched backends hand the
+    /// sweep to [`Optimizer::search_sweep`], which walks the budgets
+    /// ascending, **warm-starts** each budget's branch-and-bound search
+    /// with the neighboring budget's best decision and pays each row's
+    /// hierarchy allocation once per sweep, so a sweep over the whole chip
+    /// costs little more than one cold search. Results come back in the
+    /// order of `budgets`. The default maps [`Backend::evaluate_layer`]
+    /// over them: fixed-dataflow backends ignore objective and budget.
     fn evaluate_layer_budget_sweep(
         &self,
         shape: &ConvShape,
@@ -128,89 +128,59 @@ fn eval_of(d: &LayerDecision) -> LayerEval {
     }
 }
 
-/// Fetch or lazily build the optimizer for a reduced-cluster provisioning,
-/// sharing the backend's decision store (each optimizer keys its entries
-/// by its own cluster count, so variants never collide).
-///
-/// The build runs under the lock. If it panics, the map is left without
-/// that entry and the lock poisoned; poison is ignored, so other workers
-/// carry on and `par_map` re-raises the original panic.
-fn budgeted_optimizer(
-    budgeted: &Mutex<HashMap<usize, Arc<Optimizer>>>,
-    arch: ArchSpec,
-    clusters: usize,
-    store: &Arc<DecisionStore>,
-    build: impl FnOnce(ArchSpec) -> Optimizer,
-) -> Arc<Optimizer> {
-    let mut map = budgeted.lock().unwrap_or_else(PoisonError::into_inner);
-    Arc::clone(map.entry(clusters).or_insert_with(|| {
-        Arc::new(build(ArchSpec { clusters, ..arch }).with_store(Arc::clone(store)))
-    }))
-}
-
-/// A cluster budget clamped to the chip: `1..=arch.clusters` (see
-/// [`Backend::evaluate_layer_budget_sweep`]).
-pub(crate) fn clamp_budget(arch: &ArchSpec, budget: usize) -> usize {
-    budget.clamp(1, arch.clusters.max(1))
-}
-
-/// Shared budget-sweep path of the searched backends: clamp the requested
-/// budgets to the chip, walk the distinct budgets **ascending** through
-/// one [`SweepState`], and warm-start each budget's branch-and-bound
-/// search with the neighboring (next-smaller) budget's decision — adjacent
-/// budgets pick similar mappings, so the seed points the search at a
-/// near-optimal candidate group immediately. (The seed is an ordering hint
-/// only — see [`Optimizer::search_layer_in`] — so either walk direction
-/// would be correct; ascending keeps each seed one step from its
-/// consumer.) The state also carries each row's hierarchy allocation from
-/// budget to budget, and is dropped when the sweep returns. Results come
-/// back in the caller's requested order.
-#[allow(clippy::too_many_arguments)]
-fn sweep_budgeted(
-    full: &Optimizer,
-    budgeted: &Mutex<HashMap<usize, Arc<Optimizer>>>,
-    arch: ArchSpec,
-    store: &Arc<DecisionStore>,
-    build: impl Fn(ArchSpec) -> Optimizer,
-    shape: &ConvShape,
+/// A backend whose mappings one [`Optimizer`] searches, on every cluster
+/// budget of its chip and into its one [`DecisionStore`], for a default
+/// objective and under a display name. [`Morph`] and [`MorphBase`] share
+/// this [`Backend`] body; `B`, the preset's builder, only tells them
+/// apart.
+pub struct Searched<B> {
+    opt: Optimizer,
     objective: Objective,
-    budgets: &[usize],
-) -> Vec<LayerEval> {
-    let mut walk: Vec<usize> = budgets.iter().map(|&c| clamp_budget(&arch, c)).collect();
-    walk.sort_unstable();
-    walk.dedup();
+    name: String,
+    preset: PhantomData<fn() -> B>,
+}
 
-    let mut decided: HashMap<usize, LayerDecision> = HashMap::new();
-    let mut state = SweepState::default();
-    for &c in &walk {
-        let d = if c >= arch.clusters {
-            full.search_layer_in(shape, objective, &mut state)
-        } else {
-            budgeted_optimizer(budgeted, arch, c, store, &build)
-                .search_layer_in(shape, objective, &mut state)
-        };
-        decided.insert(c, d);
+impl<B> Backend for Searched<B> {
+    fn name(&self) -> &str {
+        &self.name
     }
-    budgets
-        .iter()
-        .map(|&c| eval_of(&decided[&clamp_budget(&arch, c)]))
-        .collect()
+
+    fn arch(&self) -> &ArchSpec {
+        &self.opt.model.arch
+    }
+
+    fn objective(&self) -> Objective {
+        self.objective
+    }
+
+    fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval {
+        eval_of(&self.opt.search_layer(shape, self.objective))
+    }
+
+    fn supports_cluster_budget(&self) -> bool {
+        true
+    }
+
+    fn evaluate_layer_budget_sweep(
+        &self,
+        shape: &ConvShape,
+        objective: Objective,
+        budgets: &[usize],
+    ) -> Vec<LayerEval> {
+        self.opt
+            .search_sweep(shape, objective, budgets)
+            .iter()
+            .map(eval_of)
+            .collect()
+    }
+
+    fn decision_store(&self) -> Option<Arc<DecisionStore>> {
+        Some(Arc::clone(self.opt.store()))
+    }
 }
 
 /// The flexible Morph accelerator (per-layer searched dataflows).
-pub struct Morph {
-    opt: Optimizer,
-    objective: Objective,
-    arch: ArchSpec,
-    name: String,
-    /// Build recipe, kept to derive reduced-cluster optimizer variants.
-    spec: MorphBuilder,
-    /// Lazily built optimizers for sub-chip cluster budgets.
-    budgeted: Mutex<HashMap<usize, Arc<Optimizer>>>,
-    /// One decision memo shared by every optimizer variant (and the
-    /// session, via [`Backend::decision_store`]).
-    store: Arc<DecisionStore>,
-}
+pub type Morph = Searched<MorphBuilder>;
 
 /// Builder for [`Morph`].
 #[derive(Clone)]
@@ -221,7 +191,7 @@ pub struct MorphBuilder {
     tech: TechNode,
     outer_orders: Option<Vec<LoopOrder>>,
     inner_orders: Option<Vec<LoopOrder>>,
-    parallelism: Option<Parallelism>,
+    base_parallelism: bool,
     name: Option<String>,
     recorder: Option<Arc<dyn Recorder>>,
 }
@@ -235,7 +205,7 @@ impl fmt::Debug for MorphBuilder {
             .field("tech", &self.tech)
             .field("outer_orders", &self.outer_orders)
             .field("inner_orders", &self.inner_orders)
-            .field("parallelism", &self.parallelism)
+            .field("base_parallelism", &self.base_parallelism)
             .field("name", &self.name)
             .field("recorder", &self.recorder.is_some())
             .finish()
@@ -251,7 +221,7 @@ impl Default for MorphBuilder {
             tech: TechNode::Nm32,
             outer_orders: None,
             inner_orders: None,
-            parallelism: None,
+            base_parallelism: false,
             name: None,
             recorder: None,
         }
@@ -295,9 +265,11 @@ impl MorphBuilder {
         self
     }
 
-    /// Pin the PE parallelism instead of searching it.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = Some(par);
+    /// Pin the PE parallelism to Morph_base's fixed `Hp × Kp` split of
+    /// each searched chip ([`Parallelism::base`]) instead of searching it
+    /// (ablation studies).
+    pub fn base_parallelism(mut self) -> Self {
+        self.base_parallelism = true;
         self
     }
 
@@ -308,48 +280,36 @@ impl MorphBuilder {
         self
     }
 
-    /// Attach a trace [`Recorder`] to every optimizer this backend builds
-    /// — the full-chip one and every lazily derived cluster-budgeted
-    /// variant — so each actual mapping search streams its span, counters
-    /// and incumbent instants (see `Optimizer::with_recorder`). Tracing
-    /// never changes any decision.
+    /// Attach a trace [`Recorder`] to the backend's optimizer, so each
+    /// actual mapping search, at every cluster budget, streams its span,
+    /// counters and incumbent instants (see `Optimizer::with_recorder`).
+    /// Tracing never changes any decision.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
     }
 
-    /// The optimizer this recipe produces for a given provisioning (the
-    /// builder's own, or a cluster-budgeted reduction of it).
-    fn optimizer(&self, arch: ArchSpec) -> Optimizer {
-        let model = EnergyModel::morph(arch).with_tech(self.tech);
-        let mut opt = Optimizer::morph(model, self.effort);
-        if let Some(orders) = &self.outer_orders {
-            opt = opt.with_outer_orders(orders.clone());
-        }
-        if let Some(orders) = &self.inner_orders {
-            opt = opt.with_inner_orders(orders.clone());
-        }
-        if let Some(par) = self.parallelism {
-            opt = opt.with_parallelism(par);
-        }
-        if let Some(rec) = &self.recorder {
-            opt = opt.with_recorder(Arc::clone(rec));
-        }
-        opt
-    }
-
     /// Construct the backend.
     pub fn build(self) -> Morph {
-        let store = Arc::new(DecisionStore::new());
-        let opt = self.optimizer(self.arch).with_store(Arc::clone(&store));
-        Morph {
+        let model = EnergyModel::morph(self.arch).with_tech(self.tech);
+        let mut opt = Optimizer::morph(model, self.effort);
+        if let Some(orders) = self.outer_orders {
+            opt = opt.with_outer_orders(orders);
+        }
+        if let Some(orders) = self.inner_orders {
+            opt = opt.with_inner_orders(orders);
+        }
+        if self.base_parallelism {
+            opt = opt.with_base_parallelism();
+        }
+        if let Some(rec) = self.recorder {
+            opt = opt.with_recorder(rec);
+        }
+        Searched {
             opt,
             objective: self.objective,
-            arch: self.arch,
-            name: self.name.clone().unwrap_or_else(|| "Morph".to_string()),
-            spec: self,
-            budgeted: Mutex::new(HashMap::new()),
-            store,
+            name: self.name.unwrap_or_else(|| "Morph".to_string()),
+            preset: PhantomData,
         }
     }
 }
@@ -372,65 +332,9 @@ impl Default for Morph {
     }
 }
 
-impl Backend for Morph {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn arch(&self) -> &ArchSpec {
-        &self.arch
-    }
-
-    fn objective(&self) -> Objective {
-        self.objective
-    }
-
-    fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval {
-        eval_of(&self.opt.search_layer(shape, self.objective))
-    }
-
-    fn supports_cluster_budget(&self) -> bool {
-        true
-    }
-
-    fn evaluate_layer_budget_sweep(
-        &self,
-        shape: &ConvShape,
-        objective: Objective,
-        budgets: &[usize],
-    ) -> Vec<LayerEval> {
-        sweep_budgeted(
-            &self.opt,
-            &self.budgeted,
-            self.arch,
-            &self.store,
-            |arch| self.spec.optimizer(arch),
-            shape,
-            objective,
-            budgets,
-        )
-    }
-
-    fn decision_store(&self) -> Option<Arc<DecisionStore>> {
-        Some(Arc::clone(&self.store))
-    }
-}
-
 /// The inflexible Morph_base baseline (§IV-A3: fixed orders, Table I
 /// partitions, fixed `Hp × Kp` parallelism).
-pub struct MorphBase {
-    opt: Optimizer,
-    objective: Objective,
-    arch: ArchSpec,
-    name: String,
-    /// Build recipe, kept to derive reduced-cluster optimizer variants.
-    spec: MorphBaseBuilder,
-    /// Lazily built optimizers for sub-chip cluster budgets.
-    budgeted: Mutex<HashMap<usize, Arc<Optimizer>>>,
-    /// One decision memo shared by every optimizer variant (and the
-    /// session, via [`Backend::decision_store`]).
-    store: Arc<DecisionStore>,
-}
+pub type MorphBase = Searched<MorphBaseBuilder>;
 
 /// Builder for [`MorphBase`].
 #[derive(Clone)]
@@ -501,43 +405,28 @@ impl MorphBaseBuilder {
         self
     }
 
-    /// Attach a trace [`Recorder`] to every optimizer this backend builds
-    /// (full-chip and cluster-budgeted variants alike); see
+    /// Attach a trace [`Recorder`] to the backend's optimizer; see
     /// [`MorphBuilder::recorder`].
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
     }
 
-    /// The optimizer this recipe produces for a given provisioning (the
-    /// builder's own, or a cluster-budgeted reduction of it).
-    fn optimizer(&self, arch: ArchSpec) -> Optimizer {
-        let model = EnergyModel::morph_base(arch).with_tech(self.tech);
+    /// Construct the backend.
+    pub fn build(self) -> MorphBase {
+        let model = EnergyModel::morph_base(self.arch).with_tech(self.tech);
         let mut opt = Optimizer::morph_base(model);
         if self.fixed_tile_policy {
             opt = opt.with_fixed_tile_policy();
         }
-        if let Some(rec) = &self.recorder {
-            opt = opt.with_recorder(Arc::clone(rec));
+        if let Some(rec) = self.recorder {
+            opt = opt.with_recorder(rec);
         }
-        opt
-    }
-
-    /// Construct the backend.
-    pub fn build(self) -> MorphBase {
-        let store = Arc::new(DecisionStore::new());
-        let opt = self.optimizer(self.arch).with_store(Arc::clone(&store));
-        MorphBase {
+        Searched {
             opt,
             objective: self.objective,
-            arch: self.arch,
-            name: self
-                .name
-                .clone()
-                .unwrap_or_else(|| "Morph_base".to_string()),
-            spec: self,
-            budgeted: Mutex::new(HashMap::new()),
-            store,
+            name: self.name.unwrap_or_else(|| "Morph_base".to_string()),
+            preset: PhantomData,
         }
     }
 }
@@ -557,50 +446,6 @@ impl MorphBase {
 impl Default for MorphBase {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Backend for MorphBase {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn arch(&self) -> &ArchSpec {
-        &self.arch
-    }
-
-    fn objective(&self) -> Objective {
-        self.objective
-    }
-
-    fn evaluate_layer(&self, shape: &ConvShape) -> LayerEval {
-        eval_of(&self.opt.search_layer(shape, self.objective))
-    }
-
-    fn supports_cluster_budget(&self) -> bool {
-        true
-    }
-
-    fn evaluate_layer_budget_sweep(
-        &self,
-        shape: &ConvShape,
-        objective: Objective,
-        budgets: &[usize],
-    ) -> Vec<LayerEval> {
-        sweep_budgeted(
-            &self.opt,
-            &self.budgeted,
-            self.arch,
-            &self.store,
-            |arch| self.spec.optimizer(arch),
-            shape,
-            objective,
-            budgets,
-        )
-    }
-
-    fn decision_store(&self) -> Option<Arc<DecisionStore>> {
-        Some(Arc::clone(&self.store))
     }
 }
 
@@ -855,26 +700,80 @@ mod tests {
         assert!(two.cycles.total >= full.cycles.total);
     }
 
+    /// A searched backend built by `build`, the optimizer it should match
+    /// on a chip of any cluster count, and whether it pins Morph_base's
+    /// parallelism.
+    type Preset = (fn() -> Box<dyn Backend>, fn(ArchSpec) -> Optimizer, bool);
+
     #[test]
     fn budget_sweep_matches_per_budget_evaluations() {
         let sh = layer();
-        let swept = Morph::new();
         let budgets = [1usize, 3, 6, 6, 99];
-        let sweep = swept.evaluate_layer_budget_sweep(&sh, Objective::Energy, &budgets);
-        assert_eq!(sweep.len(), budgets.len());
-        // The warm-started walk returns exactly what cold per-budget
-        // evaluations (one-element sweeps, so nothing seeds them) return
-        // on a fresh backend, where nothing is cached.
-        let cold = Morph::new();
-        for (&c, eval) in budgets.iter().zip(&sweep) {
-            let direct = budgeted(&cold, &sh, Objective::Energy, c);
-            assert_eq!(eval, &direct, "budget {c}");
+        let presets: [Preset; 2] = [
+            (
+                || Box::new(Morph::new()),
+                |arch| Optimizer::morph(EnergyModel::morph(arch), Effort::Fast),
+                false,
+            ),
+            (
+                || Box::new(MorphBase::new()),
+                |arch| Optimizer::morph_base(EnergyModel::morph_base(arch)),
+                true,
+            ),
+        ];
+        for (build, reference, base_par) in presets {
+            let swept = build();
+            let sweep = swept.evaluate_layer_budget_sweep(&sh, Objective::Energy, &budgets);
+            assert_eq!(sweep.len(), budgets.len());
+            let cold = build();
+            for (&c, eval) in budgets.iter().zip(&sweep) {
+                let at = format!("{} budget {c}", swept.name());
+                // The warm-started walk returns exactly what cold
+                // per-budget evaluations (one-element sweeps, so nothing
+                // seeds them) return on a fresh backend, where nothing is
+                // cached...
+                let direct = budgeted(cold.as_ref(), &sh, Objective::Energy, c);
+                assert_eq!(eval, &direct, "{at}");
+                // ...and what an optimizer built directly on the budget's
+                // chip returns.
+                let chip = ArchSpec {
+                    clusters: swept.arch().clamp_budget(c),
+                    ..*swept.arch()
+                };
+                let want = reference(chip).search_layer(&sh, Objective::Energy);
+                assert_eq!(eval, &eval_of(&want), "{at}");
+                if base_par {
+                    assert_eq!(want.par, Parallelism::base(&chip), "{at}");
+                }
+            }
         }
         // Fixed backends fall back to their one operating point.
         let ey = Eyeriss::new();
         let evals = ey.evaluate_layer_budget_sweep(&sh, Objective::Energy, &[1, 2]);
         let point = ey.evaluate_layer(&sh).report;
         assert!(evals.iter().all(|e| e.report == point));
+    }
+
+    /// A Morph pinned to base parallelism (the flexibility ablation's
+    /// "+orders" variant) pins each budget's own chip's `Hp × Kp` split,
+    /// so every swept mapping fits its budget's PEs.
+    #[test]
+    fn base_parallelism_fits_every_budget() {
+        let sh = layer();
+        let pinned = Morph::builder().base_parallelism().build();
+        let budgets: Vec<usize> = (1..=6).collect();
+        for objective in [Objective::Energy, Objective::Performance] {
+            let sweep = pinned.evaluate_layer_budget_sweep(&sh, objective, &budgets);
+            for (&c, eval) in budgets.iter().zip(&sweep) {
+                let chip = ArchSpec {
+                    clusters: c,
+                    ..ArchSpec::morph()
+                };
+                let par = eval.decision.as_ref().expect("searched").par;
+                assert!(par.fits(&chip), "budget {c}: {par:?}");
+                assert_eq!(par, Parallelism::base(&chip), "budget {c}");
+            }
+        }
     }
 
     /// A budget of 0 clamps to one cluster on the searched backends, the
@@ -899,7 +798,7 @@ mod tests {
         let store = m.decision_store().unwrap();
         assert!(store.is_empty());
         m.evaluate_layer(&sh);
-        assert_eq!(store.len(), 1, "the full-chip optimizer writes through");
+        assert_eq!(store.len(), 1, "the full-chip search writes through");
         budgeted(&m, &sh, Objective::Energy, 3);
         assert_eq!(store.len(), 2, "budgeted searches key their own budget");
         // Replays are store hits, and an oversized budget is the full key.
@@ -909,11 +808,10 @@ mod tests {
         assert!(Eyeriss::new().decision_store().is_none());
     }
 
-    /// Workers racing one sub-chip budget on one backend build its
-    /// optimizer once between them: all get the same decision, and the
-    /// shared store memoizes the key once.
+    /// Workers racing one sub-chip budget on one backend all get the same
+    /// decision, and the shared store memoizes the key once.
     #[test]
-    fn budgeted_optimizer_map_is_coherent_under_races() {
+    fn racing_budget_searches_agree_and_memoize_once() {
         const WORKERS: usize = 8;
         let shape = ConvShape::new_2d(4, 4, 2, 4, 1, 1);
         for round in 0..16 {
@@ -943,9 +841,9 @@ mod tests {
         }
     }
 
-    /// A recorder attached at the builder reaches the full-chip optimizer
-    /// AND every lazily built cluster-budgeted variant, on distinct
-    /// per-budget tracks — and tracing changes no decision.
+    /// A recorder attached at the builder reaches the full-chip search AND
+    /// every cluster-budgeted one, on distinct per-budget tracks — and
+    /// tracing changes no decision.
     #[test]
     fn builder_recorder_reaches_budgeted_variants() {
         use morph_trace::TraceBuffer;

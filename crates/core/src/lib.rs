@@ -144,5 +144,5 @@ pub use morph_optimizer::{
 pub use morph_pipeline::{
     EdgeReport, ParetoPoint, ParetoReport, PipelineCaps, PipelineMode, PipelineReport, StageReport,
 };
-pub use report::{LayerRecord, NetworkRun, RunReport, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+pub use report::{LayerRecord, NetworkRun, RunReport, SCHEMA_VERSION};
 pub use session::{Session, SessionBuilder, DEFAULT_PIPELINE_FRAMES};

@@ -37,9 +37,6 @@ use morph_tensor::shape::ConvShape;
 /// an older stamp are rejected: nothing writes them any more.
 pub const SCHEMA_VERSION: u32 = 6;
 
-/// Oldest schema [`RunReport::from_json_str`] accepts.
-pub const MIN_SCHEMA_VERSION: u32 = 6;
-
 /// One evaluated layer inside a [`NetworkRun`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerRecord {
@@ -283,9 +280,9 @@ impl FromJson for RunReport {
     fn from_json(v: &Value) -> Result<Self, String> {
         use morph_json::{field_arr, field_u64};
         let schema = field_u64(v, "schema")? as u32;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
+        if schema != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported report schema {schema}, expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+                "unsupported report schema {schema}, expected {SCHEMA_VERSION}"
             ));
         }
         Ok(RunReport {

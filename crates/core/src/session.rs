@@ -8,8 +8,7 @@
 //!    full-chip layer shapes, then the cluster-budget sweeps the
 //!    [`PipelineMode`]'s allocation tables read, deduplicated across all
 //!    pairs. Pairs are walked in session order, so reports — including
-//!    per-pair `cache_hits`, also queryable via [`Session::cache_hits`] —
-//!    are identical at any thread count.
+//!    per-pair `cache_hits` — are identical at any thread count.
 //! 2. **Decide** — the list fans out over one worker pool
 //!    ([`crate::par`]). Every evaluation goes through one store-first path
 //!    that calls only [`Backend::evaluate_layer_budget_sweep`].
@@ -41,7 +40,7 @@
 //! (throughput, energy/frame, peak power), optionally under a peak-power
 //! cap.
 
-use crate::backend::{clamp_budget, Backend, LayerEval, MappingDecision};
+use crate::backend::{Backend, LayerEval, MappingDecision};
 use crate::par;
 use crate::report::{LayerRecord, NetworkRun, RunReport, SCHEMA_VERSION};
 use morph_nets::Network;
@@ -53,7 +52,7 @@ use morph_pipeline::{
 use morph_tensor::shape::ConvShape;
 use morph_trace::{NoopRecorder, PrefixRecorder, Recorder};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A [`LayerEval`] as a [`DecisionStore`] entry (cost-only evaluations
@@ -105,8 +104,6 @@ pub struct Session {
     /// final pipeline simulation ([`NoopRecorder`] unless
     /// [`SessionBuilder::trace`] attached one).
     trace: Arc<dyn Recorder>,
-    /// Per-pair cache hits of the last [`Session::run`], `[backend][network]`.
-    last_hits: Mutex<Vec<Vec<u64>>>,
 }
 
 /// Builder for [`Session`].
@@ -206,7 +203,6 @@ impl SessionBuilder {
             pipeline: self.pipeline,
             pipeline_frames: self.pipeline_frames.unwrap_or(DEFAULT_PIPELINE_FRAMES),
             trace: self.trace.unwrap_or_else(|| Arc::new(NoopRecorder)),
-            last_hits: Mutex::new(Vec::new()),
         }
     }
 }
@@ -260,17 +256,6 @@ impl Session {
     /// own optimizers when it exposes one).
     pub fn decision_store(&self, backend_index: usize) -> &Arc<DecisionStore> {
         &self.stores[backend_index]
-    }
-
-    /// Cache hits of one (backend, network) pair in the last
-    /// [`Session::run`], by session indices. `None` before the first run.
-    pub fn cache_hits(&self, backend_index: usize, network_index: usize) -> Option<u64> {
-        self.last_hits
-            .lock()
-            .unwrap()
-            .get(backend_index)?
-            .get(network_index)
-            .copied()
     }
 
     /// Evaluate every (backend, network) pair and assemble the report.
@@ -403,7 +388,6 @@ impl Session {
         });
         let end = t0.elapsed().as_nanos() as u64;
         self.trace.span("phase:assemble", "assemble", decided, end);
-        *self.last_hits.lock().unwrap() = hits;
         RunReport {
             schema: SCHEMA_VERSION,
             runs,
@@ -960,7 +944,7 @@ impl Session {
         let store = &self.stores[backend_index];
         let clamped: Vec<usize> = budgets
             .iter()
-            .map(|&c| clamp_budget(backend.arch(), c))
+            .map(|&c| backend.arch().clamp_budget(c))
             .collect();
         if let Some(hits) = clamped
             .iter()
@@ -995,6 +979,7 @@ mod tests {
     use super::*;
     use crate::backend::{Eyeriss, Morph, MorphBase};
     use std::collections::HashMap;
+    use std::sync::Mutex;
 
     fn repeated_net() -> Network {
         // Three distinct shapes across five layers → two duplicate layers.
@@ -1401,25 +1386,6 @@ mod tests {
         // A binding cap costs throughput relative to the free frontier.
         let free_best = points.first().unwrap().steady_fps;
         assert!(p.steady_fps <= free_best + 1e-9);
-    }
-
-    #[test]
-    fn per_pair_cache_hits_are_queryable() {
-        let mut other = repeated_net();
-        other.name = "other";
-        let session = Session::builder()
-            .backend(Morph::new())
-            .backend(Eyeriss::new())
-            .network(repeated_net())
-            .network(other)
-            .build();
-        assert_eq!(session.cache_hits(0, 0), None, "no run recorded yet");
-        let rep = session.run();
-        for (i, run) in rep.runs.iter().enumerate() {
-            let (bi, ni) = (i / 2, i % 2);
-            assert_eq!(session.cache_hits(bi, ni), Some(run.cache_hits));
-        }
-        assert_eq!(session.cache_hits(5, 0), None, "out of range");
     }
 
     /// Tracing is strictly a sidecar: a traced run's report is identical

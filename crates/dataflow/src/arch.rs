@@ -59,6 +59,13 @@ impl ArchSpec {
         (self.total_pes() * self.vector_width) as u64
     }
 
+    /// The compute clusters a cluster budget gets on this chip: `budget`
+    /// clamped to `1..=clusters`, so 0 means one cluster and anything
+    /// past the chip means the whole chip.
+    pub fn clamp_budget(&self, budget: usize) -> usize {
+        budget.clamp(1, self.clusters.max(1))
+    }
+
     /// Capacity of the buffer at an on-chip level (0 = L0 … 2 = L2).
     ///
     /// Levels are per-instance capacities (an L1 is one cluster's buffer,

@@ -26,7 +26,6 @@ use morph_dataflow::traffic::layer_traffic;
 use morph_energy::cacti::sram_pj_per_byte;
 use morph_energy::tech::{DRAM_PJ_PER_BYTE, MACC_PJ, NOC_PJ_PER_BYTE};
 use morph_energy::{EnergyModel, EnergyReport, TechNode};
-use morph_nets::Network;
 use morph_tensor::order::LoopOrder;
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
@@ -239,13 +238,6 @@ impl Eyeriss {
             },
             maccs: traffic.maccs * nslices,
         }
-    }
-
-    /// Evaluate a whole network.
-    pub fn evaluate_network(&self, net: &Network) -> EnergyReport {
-        net.conv_layers()
-            .map(|l| self.evaluate_layer(&l.shape))
-            .fold(EnergyReport::zero(), |acc, r| acc.add(&r))
     }
 }
 

@@ -11,12 +11,14 @@
 //! incumbent — while still selecting the bit-identical argmin of the
 //! exhaustive search (kept alive as
 //! [`Optimizer::search_layer_exhaustive`]). Decisions and their
-//! [`SearchStats`] are memoized in a [`DecisionStore`] that can be shared
-//! across cluster-budgeted optimizer variants and with the session layer
-//! driving them. The searches of one cluster-budget sweep share their
-//! budget-independent work (L2-tile groups, hierarchy allocations, tile
-//! chain summaries) through a [`SweepState`]. Configurations can be persisted to a
-//! plain-text schedule file and recalled.
+//! [`SearchStats`] are memoized in a [`DecisionStore`], keyed by shape,
+//! objective and cluster budget, which the session layer driving the
+//! optimizer reads too. The cluster budget is a search argument:
+//! [`Optimizer::search_sweep`] searches a layer on several shares of the
+//! chip's clusters, sharing the budget-independent work (L2-tile groups,
+//! hierarchy allocations, tile chain summaries) across them.
+//! Configurations can be persisted to a plain-text schedule file and
+//! recalled.
 
 pub mod allocate;
 pub mod schedule;
@@ -25,6 +27,6 @@ pub mod space;
 pub mod store;
 
 pub use allocate::FitPolicy;
-pub use search::{LayerDecision, Objective, Optimizer, SweepState};
+pub use search::{LayerDecision, Objective, Optimizer};
 pub use space::Effort;
 pub use store::{DecisionStore, SearchStats, StoreKey, StoredDecision};

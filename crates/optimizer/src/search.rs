@@ -17,12 +17,14 @@
 //! ([`Optimizer::search_layer_exhaustive`] keeps that reference path
 //! alive for the `search` bench and the parity tests). Every search
 //! records [`SearchStats`] (enumerated / bound-pruned / fully costed)
-//! into the shared [`DecisionStore`].
+//! into the optimizer's [`DecisionStore`].
 //!
-//! The searches of one budget sweep share their budget-independent work
-//! through a [`SweepState`]: the L2-tile groups of the stream, every
-//! row's hierarchy allocation and every tile chain's summary are built
-//! once per sweep, not per budget.
+//! The cluster budget is an argument of the search, as the objective is:
+//! [`Optimizer::search_sweep`] searches one layer on several shares of
+//! the chip's compute clusters. The searches of one sweep share their
+//! budget-independent work: the L2-tile groups of the stream, every row's
+//! hierarchy allocation and every tile chain's summary are built once per
+//! sweep, not per budget.
 
 use crate::allocate::{assemble_hierarchy, tile_fits, FitPolicy, RowAllocator};
 use crate::space::{
@@ -35,7 +37,6 @@ use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::{best_parallelism, layer_cycles, tile_grid, Parallelism};
 use morph_dataflow::traffic::{layer_traffic, ChainSummaries};
 use morph_energy::{EnergyModel, EnergyReport};
-use morph_nets::Network;
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
@@ -161,42 +162,33 @@ struct SharedStream {
 }
 
 /// The budget-independent work of one budget sweep, shared by its
-/// searches through [`Optimizer::search_layer_in`]: the neighbour seed,
-/// each L2 tile's deduplicated outer orders and exact DRAM bytes, each
-/// (L2 tile, inner order) row's allocated (L1, L0) tiles, and the
-/// shape's tile-chain summaries ([`ChainSummaries`]). None of it reads
-/// the cluster count or the objective, so every budget and objective of a
+/// searches ([`Optimizer::search_sweep`]): the neighbour seed, each L2
+/// tile's deduplicated outer orders and exact DRAM bytes, each (L2 tile,
+/// inner order) row's allocated (L1, L0) tiles, and the shape's
+/// tile-chain summaries ([`ChainSummaries`]). None of it reads the
+/// cluster count or the objective, so every budget and objective of a
 /// shape can share it.
 ///
-/// The seed is the last decision a search in this state returned (or the
-/// one given to [`SweepState::with_seed`]); the next search costs its
-/// L2-tile group first. It only orders the search. The groups and rows
-/// remember the inputs they were built under — the shape, fit policy,
-/// architecture apart from its cluster count, effort, and outer/inner
-/// order restrictions — and a search that arrives with other inputs
-/// empties them first, so a state never changes a decision. Drop the state
-/// when the sweep ends.
+/// The seed is the last decision a search in this state returned; the
+/// next search costs its L2-tile group first. It only orders the search.
+/// The groups and rows remember the inputs they were built under — the
+/// shape, fit policy, architecture apart from its cluster count, effort,
+/// and outer/inner order restrictions — and a search that arrives with
+/// other inputs empties them first, so a state never changes a decision.
+/// The state lives for one sweep.
 #[derive(Default)]
-pub struct SweepState {
+struct SweepState {
     seed: Option<LayerDecision>,
     stream: Option<SharedStream>,
 }
 
-impl SweepState {
-    /// An empty state whose first search is warm-started by `seed`, a
-    /// neighbouring decision (typically the adjacent cluster budget's
-    /// best).
-    pub fn with_seed(seed: LayerDecision) -> Self {
-        Self {
-            seed: Some(seed),
-            stream: None,
-        }
-    }
-}
-
 /// The §V software optimizer.
+///
+/// It searches every cluster budget of one chip: a search at budget `c`
+/// runs on the chip cut to `c` compute clusters (its L2 and every other
+/// provision stay whole) and memoizes under that budget.
 pub struct Optimizer {
-    /// Cost model (also fixes the architecture).
+    /// Cost model of the whole chip (also fixes the architecture).
     pub model: EnergyModel,
     /// Tile fit policy (banked for Morph, partitioned for Morph_base).
     pub policy: FitPolicy,
@@ -206,17 +198,13 @@ pub struct Optimizer {
     pub outer_orders: Option<Vec<LoopOrder>>,
     /// Restrict the inner-order space.
     pub inner_orders: Option<Vec<LoopOrder>>,
-    /// Restrict parallelism (`None` = search).
-    pub parallelism: Option<Parallelism>,
+    /// Pin the parallelism to [`Parallelism::base`] of the searched chip
+    /// instead of searching it.
+    pub base_parallelism: bool,
     /// Use Morph_base's fixed tiling policy instead of searching tiles.
     pub fixed_tile_policy: bool,
-    /// Shared decision memo (see [`DecisionStore`]); entries from this
-    /// optimizer are keyed by `store_clusters`.
+    /// Decision memo (see [`DecisionStore`]), keyed by cluster budget.
     store: Arc<DecisionStore>,
-    /// Cluster count this optimizer's decisions are keyed under — its
-    /// architecture's, so budgeted variants sharing one store never
-    /// collide with the full-chip optimizer.
-    store_clusters: usize,
     /// Trace sink for search spans/counters (see [`Optimizer::with_recorder`]).
     /// [`NoopRecorder`] by default — every instrumentation point is a dead
     /// branch unless a real recorder is attached.
@@ -226,17 +214,15 @@ pub struct Optimizer {
 impl Optimizer {
     /// Full-flexibility Morph optimizer.
     pub fn morph(model: EnergyModel, effort: Effort) -> Self {
-        let store_clusters = model.arch.clusters;
         Self {
             model,
             policy: FitPolicy::Banked,
             effort,
             outer_orders: None,
             inner_orders: None,
-            parallelism: None,
+            base_parallelism: false,
             fixed_tile_policy: false,
             store: Arc::new(DecisionStore::new()),
-            store_clusters,
             recorder: Arc::new(NoopRecorder),
         }
     }
@@ -244,18 +230,15 @@ impl Optimizer {
     /// Morph_base: fixed `[WHCKF]`/`[cfwhk]` orders, Table I partitions,
     /// fixed `Hp × Kp` parallelism (§IV-A3, §VI-B).
     pub fn morph_base(model: EnergyModel) -> Self {
-        let par = Parallelism::base(&model.arch);
-        let store_clusters = model.arch.clusters;
         Self {
             model,
             policy: FitPolicy::Partitioned,
             effort: Effort::Fast,
             outer_orders: Some(vec![LoopOrder::base_outer()]),
             inner_orders: Some(vec![LoopOrder::base_inner()]),
-            parallelism: Some(par),
+            base_parallelism: true,
             fixed_tile_policy: false,
             store: Arc::new(DecisionStore::new()),
-            store_clusters,
             recorder: Arc::new(NoopRecorder),
         }
     }
@@ -275,9 +258,10 @@ impl Optimizer {
         self
     }
 
-    /// Fix the parallelism (builder style).
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = Some(par);
+    /// Pin the parallelism to [`Parallelism::base`] of each searched chip
+    /// (builder style).
+    pub fn with_base_parallelism(mut self) -> Self {
+        self.base_parallelism = true;
         self.store = Arc::new(DecisionStore::new());
         self
     }
@@ -287,15 +271,6 @@ impl Optimizer {
     pub fn with_fixed_tile_policy(mut self) -> Self {
         self.fixed_tile_policy = true;
         self.store = Arc::new(DecisionStore::new());
-        self
-    }
-
-    /// Attach a shared [`DecisionStore`] (builder style; apply after every
-    /// search-space restriction — those reset the store). Backends use
-    /// this to let their full-chip and cluster-budgeted optimizers, and
-    /// the session driving them, share one memo.
-    pub fn with_store(mut self, store: Arc<DecisionStore>) -> Self {
-        self.store = store;
         self
     }
 
@@ -311,16 +286,17 @@ impl Optimizer {
         self
     }
 
-    /// The decision store this optimizer reads and writes.
+    /// The decision store this optimizer reads and writes, one entry per
+    /// (shape, objective, cluster budget).
     pub fn store(&self) -> &Arc<DecisionStore> {
         &self.store
     }
 
-    /// Stats of the memoized search for a shape under this optimizer's
-    /// architecture (`None` if not searched yet).
+    /// Stats of the memoized whole-chip search for a shape (`None` if not
+    /// searched yet).
     pub fn search_stats(&self, shape: &ConvShape, objective: Objective) -> Option<SearchStats> {
         self.store
-            .get(&(*shape, objective, self.store_clusters))
+            .get(&(*shape, objective, self.model.arch.clusters))
             .map(|e| e.stats)
     }
 
@@ -344,30 +320,62 @@ impl Optimizer {
         }
     }
 
-    /// Search one layer; results are memoized in the [`DecisionStore`]
-    /// (repeated blocks in ResNets hit the store).
+    /// Search one layer on the whole chip; results are memoized in the
+    /// [`DecisionStore`] (repeated blocks in ResNets hit the store).
     pub fn search_layer(&self, shape: &ConvShape, objective: Objective) -> LayerDecision {
-        self.search_layer_in(shape, objective, &mut SweepState::default())
+        let clusters = self.model.arch.clusters;
+        self.search_in(shape, objective, clusters, &mut SweepState::default())
     }
 
-    /// [`Optimizer::search_layer`] as one step of a sweep: the search
-    /// shares `state`'s budget-independent work (building it on first
-    /// use), is warm-started by its seed, and leaves its decision as the
-    /// next seed. A warm start costs the seed's L2-tile group first, giving
-    /// branch-and-bound a near-optimal incumbent before the rest of the
-    /// stream is inspected. The returned decision is bit-identical to a
-    /// fresh state's.
-    pub fn search_layer_in(
+    /// Search one layer on each cluster budget of `budgets`, returning the
+    /// decisions in the order of `budgets`. Budgets are clamped to the
+    /// chip ([`ArchSpec::clamp_budget`]). The distinct budgets are walked
+    /// **ascending**, and each search is warm-started by the previous
+    /// budget's decision: it costs that decision's L2-tile group first,
+    /// giving branch-and-bound a near-optimal incumbent at once. (The seed
+    /// only orders the search, so either walk direction would be correct;
+    /// ascending keeps each seed one step from its consumer.) The searches
+    /// also share their budget-independent work, so a sweep over the
+    /// whole chip costs little more than one cold search. Every decision
+    /// is memoized under its budget and is bit-identical to a cold
+    /// search's.
+    pub fn search_sweep(
         &self,
         shape: &ConvShape,
         objective: Objective,
+        budgets: &[usize],
+    ) -> Vec<LayerDecision> {
+        let arch = &self.model.arch;
+        let mut walk: Vec<usize> = budgets.iter().map(|&c| arch.clamp_budget(c)).collect();
+        walk.sort_unstable();
+        walk.dedup();
+        let mut state = SweepState::default();
+        let decided: HashMap<usize, LayerDecision> = walk
+            .into_iter()
+            .map(|c| (c, self.search_in(shape, objective, c, &mut state)))
+            .collect();
+        budgets
+            .iter()
+            .map(|&c| decided[&arch.clamp_budget(c)].clone())
+            .collect()
+    }
+
+    /// One memoized search at a cluster budget, as one step of a sweep:
+    /// it shares `state`'s budget-independent work (building it on first
+    /// use), is warm-started by its seed, and leaves its decision as the
+    /// next seed.
+    fn search_in(
+        &self,
+        shape: &ConvShape,
+        objective: Objective,
+        clusters: usize,
         state: &mut SweepState,
     ) -> LayerDecision {
-        let key = (*shape, objective, self.store_clusters);
+        let key = (*shape, objective, clusters);
         let decision = match self.store.get(&key).and_then(|hit| hit.to_decision()) {
             Some(decision) => decision,
             None => {
-                let (decision, stats) = self.run_search(shape, objective, state, true);
+                let (decision, stats) = self.run_search(shape, objective, clusters, state, true);
                 self.store
                     .insert(key, StoredDecision::from_decision(&decision, stats));
                 decision
@@ -377,32 +385,40 @@ impl Optimizer {
         decision
     }
 
-    /// The pre-refactor eager reference: cost every candidate, no bounds,
-    /// no memoization, nothing shared. The `search` bench and the parity
-    /// tests use this to prove the pruned stream selects the identical
-    /// decision while fully costing far fewer candidates.
+    /// The pre-refactor eager reference on the whole chip: cost every
+    /// candidate, no bounds, no memoization, nothing shared. The `search`
+    /// bench and the parity tests use this to prove the pruned stream
+    /// selects the identical decision while fully costing far fewer
+    /// candidates.
     pub fn search_layer_exhaustive(
         &self,
         shape: &ConvShape,
         objective: Objective,
     ) -> (LayerDecision, SearchStats) {
-        self.run_search(shape, objective, &mut SweepState::default(), false)
+        let clusters = self.model.arch.clusters;
+        self.run_search(
+            shape,
+            objective,
+            clusters,
+            &mut SweepState::default(),
+            false,
+        )
     }
 
-    /// The L2-tile groups of this optimizer's candidate stream for the
-    /// shape `chains` summarizes, in original enumeration order. The DRAM
-    /// boundary's traffic depends only on the outermost level, so each (L2
-    /// tile, outer order) pair's DRAM bytes are exact: scored from the
-    /// tile's five one-level chain summaries, far cheaper than a full
-    /// costing.
+    /// The L2-tile groups of this optimizer's candidate stream on `arch`
+    /// for the shape `chains` summarizes, in original enumeration order.
+    /// The DRAM boundary's traffic depends only on the outermost level, so
+    /// each (L2 tile, outer order) pair's DRAM bytes are exact: scored
+    /// from the tile's five one-level chain summaries, far cheaper than a
+    /// full costing.
     fn tile_groups(
         &self,
+        arch: &ArchSpec,
         chains: &mut ChainSummaries,
         outer_cands: &[LoopOrder],
         n_inner: u64,
     ) -> Vec<TileGroup> {
         let shape = *chains.shape();
-        let arch = &self.model.arch;
         let mut l2_cands: Vec<_> = l2_tile_candidates(&shape, arch, self.effort)
             .into_iter()
             .filter(|t| tile_fits(&shape, t, OnChipLevel::L2, arch, self.policy))
@@ -433,38 +449,32 @@ impl Optimizer {
             .collect()
     }
 
-    /// Admissible score floor for a candidate, from its exact DRAM bytes
-    /// and a latency floor. Every objective's true score can only be
-    /// worse (larger): real latency is at least the roofline/bus floor,
-    /// and real energy adds on-chip access and NoC terms on top of the
-    /// DRAM + datapath floor.
-    fn score_floor(&self, objective: Objective, maccs: u64, dram_bytes: u64, cycles: u64) -> f64 {
-        match objective {
-            Objective::Performance => cycles as f64,
-            Objective::Energy => self.model.energy_floor_pj(dram_bytes, maccs, cycles),
-            Objective::PerfPerWatt => {
-                let e = self.model.energy_floor_pj(dram_bytes, maccs, cycles);
-                -(maccs as f64) / e.max(f64::MIN_POSITIVE)
-            }
-        }
-    }
-
-    /// The search core. `prune: false` is the exhaustive reference
-    /// (original enumeration order, every feasible candidate costed);
-    /// `prune: true` ranks L2-tile groups by admissible bound, seeds the
-    /// incumbent from the neighbor decision's group, and skips every
-    /// candidate whose bound cannot beat the incumbent. Both paths select
-    /// the minimum `(score, original index)` candidate, so their
+    /// The search core, on the chip cut to `clusters` compute clusters.
+    /// `prune: false` is the exhaustive
+    /// reference (original enumeration order, every feasible candidate
+    /// costed); `prune: true` ranks L2-tile groups by admissible bound,
+    /// seeds the incumbent from the neighbor decision's group, and skips
+    /// every candidate whose bound cannot beat the incumbent. Both paths
+    /// select the minimum `(score, original index)` candidate, so their
     /// decisions are identical. The groups and row allocations come from
     /// `state`, built here when it holds none for this search's inputs.
     fn run_search(
         &self,
         shape: &ConvShape,
         objective: Objective,
+        clusters: usize,
         state: &mut SweepState,
         prune: bool,
     ) -> (LayerDecision, SearchStats) {
-        let arch = &self.model.arch;
+        // The budget's chip keeps the L2 and every other provision whole.
+        let model = EnergyModel {
+            arch: ArchSpec {
+                clusters,
+                ..self.model.arch
+            },
+            ..self.model.clone()
+        };
+        let arch = &model.arch;
         // Search-trace setup. The track is unique per (shape, objective,
         // cluster budget); timestamps are the candidate-index clock
         // (candidates visited so far), so traces are deterministic.
@@ -475,18 +485,18 @@ impl Optimizer {
                 "search:{}/{}/c{}",
                 Self::shape_tag(shape),
                 objective.label(),
-                self.store_clusters
+                clusters
             )
         } else {
             String::new()
         };
         if self.fixed_tile_policy {
             let cfg = crate::allocate::base_hierarchy(shape, arch);
-            let par = self.parallelism.unwrap_or_else(|| Parallelism::base(arch));
+            let par = Parallelism::base(arch);
             let mut traffic = layer_traffic(shape, &cfg);
             morph_dataflow::traffic::apply_multicast(&mut traffic, par.hp, par.wp, par.fp, par.kp);
             let cycles = layer_cycles(shape, &cfg, &par, arch, &traffic);
-            let report = self.model.attribute(shape, &traffic, cycles);
+            let report = model.attribute(shape, &traffic, cycles);
             let decision = LayerDecision {
                 config: cfg,
                 par,
@@ -510,9 +520,10 @@ impl Optimizer {
             .inner_orders
             .clone()
             .unwrap_or_else(|| inner_order_candidates(self.effort));
-        let pars = match self.parallelism {
-            Some(p) => vec![p],
-            None => parallelism_candidates(arch),
+        let pars = if self.base_parallelism {
+            vec![Parallelism::base(arch)]
+        } else {
+            parallelism_candidates(arch)
         };
         let n_inner = inner_cands.len();
 
@@ -540,7 +551,7 @@ impl Optimizer {
                     .clone()
                     .unwrap_or_else(|| outer_order_candidates(self.effort));
                 let mut chains = ChainSummaries::new(shape);
-                let groups = self.tile_groups(&mut chains, &outer_cands, n_inner as u64);
+                let groups = self.tile_groups(arch, &mut chains, &outer_cands, n_inner as u64);
                 *stream = Some(SharedStream {
                     rows: vec![Vec::new(); groups.len()],
                     inputs,
@@ -557,6 +568,19 @@ impl Optimizer {
         } = stream.as_mut().expect("stream built above");
 
         let maccs = shape.maccs();
+        // Admissible score floor for a candidate, from its exact DRAM
+        // bytes and a latency floor. Every objective's true score can only
+        // be worse (larger): real latency is at least the roofline/bus
+        // floor, and real energy adds on-chip access and NoC terms on top
+        // of the DRAM + datapath floor.
+        let score_floor = |dram_bytes: u64, cycles: u64| match objective {
+            Objective::Performance => cycles as f64,
+            Objective::Energy => model.energy_floor_pj(dram_bytes, maccs, cycles),
+            Objective::PerfPerWatt => {
+                let e = model.energy_floor_pj(dram_bytes, maccs, cycles);
+                -(maccs as f64) / e.max(f64::MIN_POSITIVE)
+            }
+        };
         // MACC/parallelism roofline: no mapping finishes faster than the
         // chip's peak MACC rate allows.
         let roofline = maccs.div_ceil(arch.peak_maccs_per_cycle());
@@ -572,7 +596,7 @@ impl Optimizer {
                     .iter()
                     .map(|&bytes| {
                         let floor = roofline.max(bytes.div_ceil(dram_bus_bytes));
-                        self.score_floor(objective, maccs, bytes, floor)
+                        score_floor(bytes, floor)
                     })
                     .fold(f64::INFINITY, f64::min)
             })
@@ -684,7 +708,7 @@ impl Optimizer {
                         .iter()
                         .map(|&bytes| {
                             let floor = roofline.max(compute).max(bytes.div_ceil(dram_bus_bytes));
-                            self.score_floor(objective, maccs, bytes, floor)
+                            score_floor(bytes, floor)
                         })
                         .fold(f64::INFINITY, f64::min);
                     if row > incumbent {
@@ -697,7 +721,7 @@ impl Optimizer {
                     if prune {
                         let bytes = g.dram_bytes[k];
                         let floor = roofline.max(compute).max(bytes.div_ceil(dram_bus_bytes));
-                        if self.score_floor(objective, maccs, bytes, floor) > incumbent {
+                        if score_floor(bytes, floor) > incumbent {
                             stats.bound_pruned += 1;
                             continue;
                         }
@@ -714,7 +738,7 @@ impl Optimizer {
                         par.kp,
                     );
                     let cycles = layer_cycles(shape, &cfg, &par, arch, &traffic);
-                    let report = self.model.attribute(shape, &traffic, cycles);
+                    let report = model.attribute(shape, &traffic, cycles);
                     let s = Self::score(objective, &report);
                     let replace = match &best {
                         None => true,
@@ -753,20 +777,6 @@ impl Optimizer {
         let decision = best.expect("search space never empty").2;
         (decision, stats)
     }
-
-    /// Search every convolution layer of a network.
-    pub fn search_network(&self, net: &Network, objective: Objective) -> Vec<LayerDecision> {
-        net.conv_layers()
-            .map(|l| self.search_layer(&l.shape, objective))
-            .collect()
-    }
-
-    /// Aggregate network cost under an objective.
-    pub fn network_report(&self, net: &Network, objective: Objective) -> EnergyReport {
-        self.search_network(net, objective)
-            .iter()
-            .fold(EnergyReport::zero(), |acc, d| acc.add(&d.report))
-    }
 }
 
 #[cfg(test)]
@@ -776,6 +786,14 @@ mod tests {
 
     fn layer() -> ConvShape {
         ConvShape::new_3d(28, 28, 8, 128, 256, 3, 3, 3).with_pad(1, 1)
+    }
+
+    /// An empty state whose first search is warm-started by `seed`.
+    fn seeded(seed: LayerDecision) -> SweepState {
+        SweepState {
+            seed: Some(seed),
+            stream: None,
+        }
     }
 
     #[test]
@@ -868,14 +886,18 @@ mod tests {
         let cold = Optimizer::morph(EnergyModel::morph(arch), Effort::Fast);
         let d_cold = cold.search_layer(&sh, Objective::Energy);
 
-        let seeded = Optimizer::morph(EnergyModel::morph(arch), Effort::Fast);
-        let mut state = SweepState::with_seed(d_cold.clone());
-        let d_seeded = seeded.search_layer_in(&sh, Objective::Energy, &mut state);
+        let warm = Optimizer::morph(EnergyModel::morph(arch), Effort::Fast);
+        let d_seeded = warm.search_in(
+            &sh,
+            Objective::Energy,
+            arch.clusters,
+            &mut seeded(d_cold.clone()),
+        );
         assert_eq!(d_cold.config, d_seeded.config);
         assert_eq!(d_cold.par, d_seeded.par);
         assert_eq!(d_cold.report, d_seeded.report);
         let s_cold = cold.search_stats(&sh, Objective::Energy).unwrap();
-        let s_seeded = seeded.search_stats(&sh, Objective::Energy).unwrap();
+        let s_seeded = warm.search_stats(&sh, Objective::Energy).unwrap();
         assert!(
             s_seeded.costed <= s_cold.costed,
             "seeded {} vs cold {}",
@@ -971,21 +993,18 @@ mod tests {
 
         // A warm full-chip search after a half-chip one, on one state,
         // against the same search on a fresh state with the same seed.
-        let half = ArchSpec {
-            clusters: 3,
-            ..arch
-        };
         let mut state = SweepState::default();
-        let d_half = Optimizer::morph(EnergyModel::morph(half), Effort::Fast).search_layer_in(
+        let d_half = Optimizer::morph(EnergyModel::morph(arch), Effort::Fast).search_in(
             &sh,
             Objective::Energy,
+            3,
             &mut state,
         );
         let run = |state: &mut SweepState| {
             let buf = Arc::new(TraceBuffer::new());
             let opt =
                 Optimizer::morph(EnergyModel::morph(arch), Effort::Fast).with_recorder(buf.clone());
-            let d = opt.search_layer_in(&sh, Objective::Energy, state);
+            let d = opt.search_in(&sh, Objective::Energy, arch.clusters, state);
             assert_eq!(d.report, d_plain.report);
             let events = buf.events();
             let last = final_counters(&events);
@@ -997,8 +1016,7 @@ mod tests {
             )
         };
         let (warm_allocated, warm_shared, warm_summaries, warm_stats) = run(&mut state);
-        let (cold_allocated, cold_shared, cold_summaries, cold_stats) =
-            run(&mut SweepState::with_seed(d_half));
+        let (cold_allocated, cold_shared, cold_summaries, cold_stats) = run(&mut seeded(d_half));
         assert_eq!(cold_shared, 0);
         assert!(
             warm_shared > 0,
@@ -1059,7 +1077,7 @@ mod tests {
             let mut state = SweepState::default();
             for sh in &shapes {
                 for (i, build) in sequence.iter().enumerate() {
-                    let shared = build().search_layer_in(sh, objective, &mut state);
+                    let shared = build().search_in(sh, objective, arch.clusters, &mut state);
                     let fresh = build().search_layer(sh, objective);
                     assert_eq!(shared.config, fresh.config, "{i} {sh:?} {objective:?}");
                     assert_eq!(shared.par, fresh.par, "{i} {sh:?} {objective:?}");
@@ -1069,33 +1087,22 @@ mod tests {
         }
     }
 
-    /// Two optimizers for different cluster budgets sharing one store
-    /// never collide: their decisions land under distinct keys.
+    /// Searches of one optimizer at different cluster budgets share its
+    /// store without colliding: their decisions land under distinct keys,
+    /// and each budget replays its own entry.
     #[test]
     fn shared_store_keys_by_cluster_budget() {
         let sh = ConvShape::new_3d(14, 14, 4, 32, 64, 3, 3, 3).with_pad(1, 1);
-        let store = Arc::new(DecisionStore::new());
-        let full_arch = ArchSpec::morph();
-        let half_arch = ArchSpec {
-            clusters: 3,
-            ..full_arch
-        };
-        let full =
-            Optimizer::morph(EnergyModel::morph(full_arch), Effort::Fast).with_store(store.clone());
-        let half =
-            Optimizer::morph(EnergyModel::morph(half_arch), Effort::Fast).with_store(store.clone());
-        let df = full.search_layer(&sh, Objective::Performance);
-        let dh = half.search_layer(&sh, Objective::Performance);
-        assert_eq!(store.len(), 2, "one entry per cluster budget");
+        let opt = Optimizer::morph(EnergyModel::morph(ArchSpec::morph()), Effort::Fast);
+        let df = opt.search_layer(&sh, Objective::Performance);
+        let dh = opt
+            .search_sweep(&sh, Objective::Performance, &[3])
+            .remove(0);
+        assert_eq!(opt.store().len(), 2, "one entry per cluster budget");
         assert!(dh.report.cycles.total >= df.report.cycles.total);
-        // Each optimizer replays its own entry, not the other's.
-        assert_eq!(
-            full.search_layer(&sh, Objective::Performance).report,
-            df.report
-        );
-        assert_eq!(
-            half.search_layer(&sh, Objective::Performance).report,
-            dh.report
-        );
+        let replay = opt.search_sweep(&sh, Objective::Performance, &[6, 3]);
+        assert_eq!(replay[0].report, df.report);
+        assert_eq!(replay[1].report, dh.report);
+        assert_eq!(opt.store().len(), 2);
     }
 }

@@ -5,9 +5,9 @@
 //! each other: every [`crate::Optimizer`] memoized its own `(shape,
 //! objective)` decisions, and `morph-core`'s session kept a second
 //! `(backend, objective, clusters, shape)` map of the same data. The
-//! store unifies them: a backend owns one `Arc<DecisionStore>`, its
-//! full-chip and cluster-budgeted optimizers all write through it (each
-//! keyed by its own cluster count), and the session reads the very same
+//! store unifies them: a searched backend's one optimizer writes every
+//! decision through its `Arc<DecisionStore>`, each keyed by the cluster
+//! budget it was searched under, and the session reads the very same
 //! entries — no double bookkeeping, no duplicated decisions in memory.
 //!
 //! Entries also carry the [`SearchStats`] of the search that produced
@@ -132,8 +132,8 @@ impl StoredDecision {
 }
 
 /// Thread-safe memoization of layer decisions, shared between a backend's
-/// optimizers (full-chip and cluster-budgeted) and the session that
-/// drives them.
+/// optimizer (every cluster budget it searches) and the session that
+/// drives it.
 #[derive(Debug, Default)]
 pub struct DecisionStore {
     entries: Mutex<HashMap<StoreKey, StoredDecision>>,

@@ -252,30 +252,6 @@ fn run_reports_carry_search_stats() {
     assert_eq!(back, par);
 }
 
-/// `Session::cache_hits` exposes the per-pair accounting of the last run,
-/// matching what the report records.
-#[test]
-fn per_pair_cache_hits_match_the_report() {
-    let session = Session::builder()
-        .backend(Morph::new())
-        .backend(Eyeriss::new())
-        .network(resnet_like())
-        .network(pool_like())
-        .build();
-    assert_eq!(session.cache_hits(0, 0), None, "nothing recorded yet");
-    let report = session.run();
-    for (i, run) in report.runs.iter().enumerate() {
-        let (bi, ni) = (i / 2, i % 2);
-        assert_eq!(
-            session.cache_hits(bi, ni),
-            Some(run.cache_hits),
-            "{} on {}",
-            run.network,
-            run.backend
-        );
-    }
-}
-
 /// The pipeline section rides inside the `RunReport` JSON exactly, and the
 /// schedule it reports can only improve on per-layer-serial throughput.
 #[test]
