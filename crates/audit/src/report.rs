@@ -121,7 +121,14 @@ fn audit_run(index: usize, run: &Value, ctx: &ReportContext, out: &mut Vec<Viola
     let network = run.get("network").and_then(Value::as_str).unwrap_or("?");
     let subj = format!("run[{index}] {network} on {backend}");
 
-    for key in ["backend", "network", "objective", "layers", "total"] {
+    for key in [
+        "backend",
+        "network",
+        "objective",
+        "layers",
+        "total",
+        "edges",
+    ] {
         if run.get(key).is_none() {
             out.push(v("missing-field", &subj, format!("no {key:?} field")));
         }
@@ -179,7 +186,7 @@ fn audit_run(index: usize, run: &Value, ctx: &ReportContext, out: &mut Vec<Viola
         }
     }
 
-    // Conv-level dependency edges (absent = pre-v3 linear chain).
+    // Conv-level dependency edges (required above).
     if let Some(edges) = run.get("edges").and_then(Value::as_arr) {
         let mut seen = std::collections::HashSet::new();
         for e in edges {
@@ -350,23 +357,39 @@ fn audit_pipeline(
                 ));
             }
         }
-        // clusters: 0 = unrecorded (pre-v4); a recorded share must be a
-        // positive share of the chip the run executed on.
-        let share = s.get("clusters").and_then(Value::as_u64).unwrap_or(0);
-        if let Some(chip) = chip_clusters {
-            if share > chip {
-                out.push(v(
-                    "stage-clusters-exceed-chip",
-                    &ssubj,
-                    format!("stage scheduled on {share} clusters, chip has {chip}"),
-                ));
+        // Every stage runs on a positive share of the chip the run
+        // executed on.
+        match s.get("clusters").and_then(Value::as_u64) {
+            None => out.push(v(
+                "missing-field",
+                &ssubj,
+                "no non-negative integer \"clusters\" share".into(),
+            )),
+            Some(0) => out.push(v(
+                "stage-clusters-zero",
+                &ssubj,
+                "stage scheduled on 0 clusters".into(),
+            )),
+            Some(share) => {
+                if let Some(chip) = chip_clusters {
+                    if share > chip {
+                        out.push(v(
+                            "stage-clusters-exceed-chip",
+                            &ssubj,
+                            format!("stage scheduled on {share} clusters, chip has {chip}"),
+                        ));
+                    }
+                }
             }
         }
     }
 
     // Scheduled DAG channels.
-    let edges = p.get("edges").and_then(Value::as_arr).unwrap_or_default();
-    for e in edges {
+    let edges = p.get("edges").and_then(Value::as_arr);
+    if edges.is_none() {
+        out.push(v("missing-field", &subj, "no \"edges\" array".into()));
+    }
+    for e in edges.unwrap_or_default() {
         let get = |k: &str| e.get(k).and_then(Value::as_i64);
         let (Some(from), Some(to), Some(cap)) = (get("from"), get("to"), get("capacity")) else {
             out.push(v(
@@ -727,6 +750,20 @@ mod tests {
 
     use Step::{Idx, Key};
 
+    /// Drop `key` from the object at `path`.
+    fn remove(v: &mut Value, path: &[Step<'_>], key: &str) {
+        let Value::Obj(m) = at(v, path) else {
+            panic!("path mismatch")
+        };
+        m.remove(key).expect("key exists");
+    }
+
+    /// The one violation a mutant draws, by rule and detail.
+    fn only(violations: &[Violation]) -> (&str, &str) {
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        (violations[0].rule, violations[0].detail.as_str())
+    }
+
     #[test]
     fn clean_document_passes() {
         let violations = audit_value(&doc(), &ctx());
@@ -913,6 +950,53 @@ mod tests {
             &audit_value(&d, &ReportContext::default()),
             "stage-clusters-exceed-chip"
         ));
+    }
+
+    #[test]
+    fn run_without_edges_is_flagged() {
+        let mut d = doc();
+        remove(&mut d, &[Key("runs"), Idx(0)], "edges");
+        let violations = audit_value(&d, &ctx());
+        assert_eq!(only(&violations), ("missing-field", "no \"edges\" field"));
+    }
+
+    #[test]
+    fn pipeline_without_edges_is_flagged() {
+        let mut d = doc();
+        remove(&mut d, &[Key("runs"), Idx(0), Key("pipeline")], "edges");
+        let violations = audit_value(&d, &ctx());
+        assert_eq!(only(&violations), ("missing-field", "no \"edges\" array"));
+    }
+
+    #[test]
+    fn stage_without_clusters_is_flagged() {
+        let mut d = doc();
+        let stage = [Key("runs"), Idx(0), Key("pipeline"), Key("stages"), Idx(1)];
+        remove(&mut d, &stage, "clusters");
+        let violations = audit_value(&d, &ctx());
+        assert_eq!(only(&violations).0, "missing-field");
+        assert!(violations[0].subject.ends_with("stage[1] b"));
+    }
+
+    #[test]
+    fn zero_stage_share_is_flagged() {
+        let mut d = doc();
+        *at(
+            &mut d,
+            &[
+                Key("runs"),
+                Idx(0),
+                Key("pipeline"),
+                Key("stages"),
+                Idx(0),
+                Key("clusters"),
+            ],
+        ) = Value::Int(0);
+        // A share must be positive on any chip, known or not.
+        for ctx in [ctx(), ReportContext::default()] {
+            let violations = audit_value(&d, &ctx);
+            assert_eq!(only(&violations).0, "stage-clusters-zero");
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! The paper's three points of comparison (§VI-B) — flexible Morph, the
 //! inflexible Morph_base, and the Eyeriss-like 2D baseline — are the three
 //! built-in implementors, each constructed through a builder that fixes
-//! its architecture provisioning, search effort, optimization objective
-//! and process technology node. A [`crate::Session`] drives any set of
+//! its architecture provisioning, search effort and optimization
+//! objective; `build` rejects a chip that cannot compute
+//! ([`ArchSpec::validate`]). A [`crate::Session`] drives any set of
 //! backends (trait objects) over any set of networks.
 
 use morph_dataflow::arch::ArchSpec;
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::Parallelism;
-use morph_energy::{EnergyModel, EnergyReport, TechNode};
+use morph_energy::{EnergyModel, EnergyReport};
 use morph_optimizer::{DecisionStore, Effort, LayerDecision, Objective, Optimizer};
 use morph_pipeline::PipelineCaps;
 use morph_tensor::order::LoopOrder;
@@ -117,6 +118,16 @@ pub trait Backend: Send + Sync {
     }
 }
 
+/// The builder's chip, checked when its backend is built: a chip that
+/// cannot compute panics here, naming the field, instead of at its
+/// first search.
+fn checked(arch: ArchSpec) -> ArchSpec {
+    if let Err(e) = arch.validate() {
+        panic!("{e}");
+    }
+    arch
+}
+
 /// A searched [`LayerDecision`] as the trait-level [`LayerEval`].
 fn eval_of(d: &LayerDecision) -> LayerEval {
     LayerEval {
@@ -146,7 +157,7 @@ impl<B> Backend for Searched<B> {
     }
 
     fn arch(&self) -> &ArchSpec {
-        &self.opt.model.arch
+        self.opt.arch()
     }
 
     fn objective(&self) -> Objective {
@@ -188,7 +199,6 @@ pub struct MorphBuilder {
     arch: ArchSpec,
     effort: Effort,
     objective: Objective,
-    tech: TechNode,
     outer_orders: Option<Vec<LoopOrder>>,
     inner_orders: Option<Vec<LoopOrder>>,
     base_parallelism: bool,
@@ -202,7 +212,6 @@ impl fmt::Debug for MorphBuilder {
             .field("arch", &self.arch)
             .field("effort", &self.effort)
             .field("objective", &self.objective)
-            .field("tech", &self.tech)
             .field("outer_orders", &self.outer_orders)
             .field("inner_orders", &self.inner_orders)
             .field("base_parallelism", &self.base_parallelism)
@@ -218,7 +227,6 @@ impl Default for MorphBuilder {
             arch: ArchSpec::morph(),
             effort: Effort::Fast,
             objective: Objective::Energy,
-            tech: TechNode::Nm32,
             outer_orders: None,
             inner_orders: None,
             base_parallelism: false,
@@ -244,12 +252,6 @@ impl MorphBuilder {
     /// Optimization objective (§V-E).
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Process technology node (energies are 32 nm natives).
-    pub fn tech(mut self, tech: TechNode) -> Self {
-        self.tech = tech;
         self
     }
 
@@ -290,8 +292,13 @@ impl MorphBuilder {
     }
 
     /// Construct the backend.
+    ///
+    /// # Panics
+    ///
+    /// If the chip fails [`ArchSpec::validate`]; the message names the
+    /// field.
     pub fn build(self) -> Morph {
-        let model = EnergyModel::morph(self.arch).with_tech(self.tech);
+        let model = EnergyModel::morph(checked(self.arch));
         let mut opt = Optimizer::morph(model, self.effort);
         if let Some(orders) = self.outer_orders {
             opt = opt.with_outer_orders(orders);
@@ -341,7 +348,6 @@ pub type MorphBase = Searched<MorphBaseBuilder>;
 pub struct MorphBaseBuilder {
     arch: ArchSpec,
     objective: Objective,
-    tech: TechNode,
     fixed_tile_policy: bool,
     name: Option<String>,
     recorder: Option<Arc<dyn Recorder>>,
@@ -352,7 +358,6 @@ impl fmt::Debug for MorphBaseBuilder {
         f.debug_struct("MorphBaseBuilder")
             .field("arch", &self.arch)
             .field("objective", &self.objective)
-            .field("tech", &self.tech)
             .field("fixed_tile_policy", &self.fixed_tile_policy)
             .field("name", &self.name)
             .field("recorder", &self.recorder.is_some())
@@ -365,7 +370,6 @@ impl Default for MorphBaseBuilder {
         Self {
             arch: ArchSpec::morph(),
             objective: Objective::Energy,
-            tech: TechNode::Nm32,
             fixed_tile_policy: false,
             name: None,
             recorder: None,
@@ -383,12 +387,6 @@ impl MorphBaseBuilder {
     /// Optimization objective (tile search only; orders stay fixed).
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Process technology node.
-    pub fn tech(mut self, tech: TechNode) -> Self {
-        self.tech = tech;
         self
     }
 
@@ -413,8 +411,13 @@ impl MorphBaseBuilder {
     }
 
     /// Construct the backend.
+    ///
+    /// # Panics
+    ///
+    /// If the chip fails [`ArchSpec::validate`]; the message names the
+    /// field.
     pub fn build(self) -> MorphBase {
-        let model = EnergyModel::morph_base(self.arch).with_tech(self.tech);
+        let model = EnergyModel::morph_base(checked(self.arch));
         let mut opt = Optimizer::morph_base(model);
         if self.fixed_tile_policy {
             opt = opt.with_fixed_tile_policy();
@@ -461,7 +464,6 @@ pub struct Eyeriss {
 pub struct EyerissBuilder {
     arch: ArchSpec,
     objective: Objective,
-    tech: TechNode,
     name: Option<String>,
 }
 
@@ -470,7 +472,6 @@ impl Default for EyerissBuilder {
         Self {
             arch: morph_eyeriss::Eyeriss::table2().arch,
             objective: Objective::Energy,
-            tech: TechNode::Nm32,
             name: None,
         }
     }
@@ -489,24 +490,22 @@ impl EyerissBuilder {
         self
     }
 
-    /// Process technology node.
-    pub fn tech(mut self, tech: TechNode) -> Self {
-        self.tech = tech;
-        self
-    }
-
-    /// Override the display name (defaults to `"Eyeriss"`); lets e.g. a
-    /// tech-node ablation register several variants in one session.
+    /// Override the display name (defaults to `"Eyeriss"`); lets several
+    /// variants register in one session.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
         self
     }
 
     /// Construct the backend.
+    ///
+    /// # Panics
+    ///
+    /// If the chip fails [`ArchSpec::validate`]; the message names the
+    /// field.
     pub fn build(self) -> Eyeriss {
         let model = morph_eyeriss::Eyeriss {
-            arch: self.arch,
-            tech: self.tech,
+            arch: checked(self.arch),
         };
         Eyeriss {
             model,
@@ -607,12 +606,8 @@ mod tests {
         assert_eq!(Morph::builder().name("Opt").build().name(), "Opt");
         assert_eq!(MorphBase::builder().name("+tiles").build().name(), "+tiles");
         assert_eq!(
-            Eyeriss::builder()
-                .tech(TechNode::Nm16)
-                .name("Eyeriss-16nm")
-                .build()
-                .name(),
-            "Eyeriss-16nm"
+            Eyeriss::builder().name("Eyeriss-2").build().name(),
+            "Eyeriss-2"
         );
     }
 
@@ -650,15 +645,35 @@ mod tests {
         assert!(re.total_pj() <= rp.total_pj());
     }
 
+    /// Every builder rejects a chip that cannot compute when it builds,
+    /// naming the zero field, and accepts the two Table II chips.
     #[test]
-    fn tech_node_scales_onchip_energy_only() {
-        let sh = layer();
-        let base = Morph::builder().build().run_layer(&sh);
-        let scaled = Morph::builder().tech(TechNode::Nm16).build().run_layer(&sh);
-        assert_eq!(base.dram_pj, scaled.dram_pj, "DRAM is off-chip");
-        assert!(scaled.l2_pj < base.l2_pj);
-        assert!(scaled.compute_pj < base.compute_pj);
-        assert!(scaled.total_pj() < base.total_pj());
+    fn builders_reject_a_chip_that_cannot_compute() {
+        use std::panic::catch_unwind;
+        type Zero = (&'static str, fn(&mut ArchSpec));
+        let zeros: [Zero; 5] = [
+            ("clusters", |a| a.clusters = 0),
+            ("pes_per_cluster", |a| a.pes_per_cluster = 0),
+            ("vector_width", |a| a.vector_width = 0),
+            ("banks", |a| a.banks = 0),
+            ("clock_hz", |a| a.clock_hz = 0),
+        ];
+        assert_eq!(ArchSpec::morph().validate(), Ok(()));
+        assert_eq!(morph_eyeriss::Eyeriss::table2().arch.validate(), Ok(()));
+        for (field, zero) in zeros {
+            let mut arch = ArchSpec::morph();
+            zero(&mut arch);
+            let builds = [
+                catch_unwind(|| drop(Morph::builder().arch(arch).build())),
+                catch_unwind(|| drop(MorphBase::builder().arch(arch).build())),
+                catch_unwind(|| drop(Eyeriss::builder().arch(arch).build())),
+            ];
+            for (backend, build) in ["Morph", "Morph_base", "Eyeriss"].into_iter().zip(builds) {
+                let panic = build.expect_err(&format!("{backend} built with zero {field}"));
+                let msg = panic.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains(field), "{backend}, zero {field}: {msg}");
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! Accelerator models implement the [`Backend`] trait; the paper's §VI-B
 //! points of comparison ship as three built-in implementors, each
-//! constructed through a builder that fixes provisioning, search effort,
-//! objective and technology node:
+//! constructed through a builder that fixes provisioning, search effort
+//! and objective:
 //!
 //! * [`Morph`] — the flexible Morph design: per-layer loop orders, tile
 //!   sizes, banked shared buffers, searched parallelism.
@@ -45,13 +45,12 @@
 //! Builders expose the evaluation knobs directly:
 //!
 //! ```
-//! use morph_core::{Backend, Effort, Morph, Objective, TechNode};
+//! use morph_core::{Backend, Effort, Morph, Objective};
 //! use morph_tensor::shape::ConvShape;
 //!
 //! let perf = Morph::builder()
 //!     .effort(Effort::Fast)
 //!     .objective(Objective::Performance)
-//!     .tech(TechNode::Nm32)
 //!     .build();
 //! let layer = ConvShape::new_3d(14, 14, 4, 32, 64, 3, 3, 3).with_pad(1, 1);
 //! assert!(perf.run_layer(&layer).total_pj() > 0.0);
@@ -136,7 +135,7 @@ pub use backend::{
 };
 pub use morph_dataflow::arch::{ArchSpec, OnChipLevel};
 pub use morph_dataflow::perf::Parallelism;
-pub use morph_energy::{EnergyModel, EnergyReport, TechNode};
+pub use morph_energy::{EnergyModel, EnergyReport};
 pub use morph_optimizer::{
     DecisionStore, Effort, LayerDecision, Objective, Optimizer, SearchStats, StoreKey,
     StoredDecision,

@@ -49,6 +49,24 @@ impl ArchSpec {
         }
     }
 
+    /// Check that the chip can compute: `clusters`, `pes_per_cluster`,
+    /// `vector_width`, `banks` and `clock_hz` must each be at least 1, and
+    /// the error names the first that is not. Buffer capacities may be 0
+    /// (an Eyeriss chip has no L1).
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("clusters", self.clusters as u64),
+            ("pes_per_cluster", self.pes_per_cluster as u64),
+            ("vector_width", self.vector_width as u64),
+            ("banks", self.banks as u64),
+            ("clock_hz", self.clock_hz),
+        ];
+        match counts.iter().find(|&&(_, n)| n == 0) {
+            Some((field, _)) => Err(format!("ArchSpec::{field} must be at least 1, got 0")),
+            None => Ok(()),
+        }
+    }
+
     /// Total PEs (`M × N`).
     pub fn total_pes(&self) -> usize {
         self.clusters * self.pes_per_cluster

@@ -75,11 +75,6 @@ impl LayerTraffic {
     pub fn dram(&self) -> &BoundaryTraffic {
         &self.boundaries[0]
     }
-
-    /// Total bytes across all boundaries (a scalar "data movement" figure).
-    pub fn total_bytes(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.total()).sum()
-    }
 }
 
 /// One loop of the concatenated nest: `(level, dim)`.

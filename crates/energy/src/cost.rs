@@ -3,11 +3,11 @@
 
 use crate::cacti::sram_pj_per_byte;
 use crate::tech::{
-    TechNode, CHIP_STANDBY_MW, DRAM_PJ_PER_BYTE, MACC_PJ, NOC_PJ_PER_BYTE,
-    NOC_STATIC_PJ_PER_CYCLE_PER_BUS, SRAM_LEAKAGE_UW_PER_KB,
+    CHIP_STANDBY_MW, DRAM_PJ_PER_BYTE, MACC_PJ, NOC_PJ_PER_BYTE, NOC_STATIC_PJ_PER_CYCLE_PER_BUS,
+    SRAM_LEAKAGE_UW_PER_KB,
 };
 use morph_dataflow::arch::{ArchSpec, OnChipLevel};
-use morph_dataflow::config::{tile_bytes, TilingConfig};
+use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::{layer_cycles, CycleReport, Parallelism};
 use morph_dataflow::traffic::{layer_traffic, LayerTraffic};
 use morph_tensor::shape::ConvShape;
@@ -81,7 +81,8 @@ pub enum TrafficClass {
     Psum,
 }
 
-/// The whole-chip energy model: architecture + buffer organization.
+/// The whole-chip energy model: architecture + buffer organization, at
+/// the paper's 32 nm §VI-A calibration.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     /// Hardware provisioning.
@@ -90,8 +91,6 @@ pub struct EnergyModel {
     pub modes: [BufferMode; 3],
     /// SRAM access word width per level in bytes (L2, L1, L0).
     pub word_bytes: [usize; 3],
-    /// Process node; all constants are 32 nm natives scaled by this.
-    pub tech: TechNode,
 }
 
 impl EnergyModel {
@@ -102,7 +101,6 @@ impl EnergyModel {
             arch,
             modes: [BufferMode::Banked { banks }; 3],
             word_bytes: [8, 8, 4],
-            tech: TechNode::Nm32,
         }
     }
 
@@ -116,14 +114,7 @@ impl EnergyModel {
                 BufferMode::table1(OnChipLevel::L0),
             ],
             word_bytes: [8, 8, 4],
-            tech: TechNode::Nm32,
         }
-    }
-
-    /// Evaluate at a different process node (builder style).
-    pub fn with_tech(mut self, tech: TechNode) -> Self {
-        self.tech = tech;
-        self
     }
 
     /// pJ per byte for a data type at an on-chip level.
@@ -164,10 +155,9 @@ impl EnergyModel {
     /// on this to skip candidates that provably cannot beat its incumbent.
     pub fn energy_floor_pj(&self, dram_bytes: u64, maccs: u64, min_cycles: u64) -> f64 {
         let dram = dram_bytes as f64 * DRAM_PJ_PER_BYTE;
-        let compute = maccs as f64 * MACC_PJ * self.tech.dynamic_scale();
-        let static_pj = self.static_mw() * 1e-3 * min_cycles as f64 / self.arch.clock_hz as f64
-            * 1e12
-            * self.tech.static_scale();
+        let compute = maccs as f64 * MACC_PJ;
+        let static_pj =
+            self.static_mw() * 1e-3 * min_cycles as f64 / self.arch.clock_hz as f64 * 1e12;
         dram + compute + static_pj
     }
 
@@ -245,7 +235,6 @@ impl EnergyModel {
             cycles,
             maccs: traffic.maccs,
         }
-        .scaled_to(self.tech)
     }
 }
 
@@ -301,11 +290,6 @@ impl EnergyReport {
         ]
     }
 
-    /// Runtime in seconds at `clock_hz`.
-    pub fn runtime_s(&self, clock_hz: u64) -> f64 {
-        self.cycles.total as f64 / clock_hz as f64
-    }
-
     /// Performance per watt in MACCs/pJ (proportional to GOPS/W); uses
     /// total energy including static, so utilization matters (§VI-E).
     pub fn perf_per_watt(&self) -> f64 {
@@ -331,25 +315,6 @@ impl EnergyReport {
                 ideal: self.cycles.ideal + other.cycles.ideal,
             },
             maccs: self.maccs + other.maccs,
-        }
-    }
-
-    /// Rescale the on-chip energies from their native 32 nm calibration to
-    /// another process node. DRAM energy is an off-chip interface cost and
-    /// is left untouched; SRAM/NoC/compute scale with dynamic energy,
-    /// leakage/standby with static power.
-    pub fn scaled_to(&self, tech: TechNode) -> EnergyReport {
-        let dy = tech.dynamic_scale();
-        EnergyReport {
-            dram_pj: self.dram_pj,
-            l2_pj: self.l2_pj * dy,
-            l1_pj: self.l1_pj * dy,
-            l0_pj: self.l0_pj * dy,
-            noc_pj: self.noc_pj * dy,
-            compute_pj: self.compute_pj * dy,
-            static_pj: self.static_pj * tech.static_scale(),
-            cycles: self.cycles,
-            maccs: self.maccs,
         }
     }
 
@@ -408,46 +373,6 @@ impl morph_json::FromJson for EnergyReport {
             maccs: field_u64(v, "maccs")?,
         })
     }
-}
-
-/// Check a tile against Morph_base's static partitions: each data type must
-/// fit its Table I partition (halved for double buffering).
-pub fn fits_partitioned(
-    shape: &ConvShape,
-    cfg: &TilingConfig,
-    arch: &ArchSpec,
-) -> Result<(), String> {
-    for (level, onchip) in cfg.levels.iter().zip(OnChipLevel::ALL) {
-        let bytes = tile_bytes(shape, &level.tile);
-        let cap = arch.level_bytes(onchip) as f64 / 2.0;
-        let BufferMode::Partitioned {
-            input,
-            output,
-            weight,
-        } = BufferMode::table1(onchip)
-        else {
-            unreachable!()
-        };
-        if bytes.input as f64 > cap * input {
-            return Err(format!(
-                "{onchip:?}: input tile {} exceeds partition",
-                bytes.input
-            ));
-        }
-        if bytes.weight as f64 > cap * weight {
-            return Err(format!(
-                "{onchip:?}: weight tile {} exceeds partition",
-                bytes.weight
-            ));
-        }
-        if bytes.psum as f64 > cap * output {
-            return Err(format!(
-                "{onchip:?}: psum tile {} exceeds partition",
-                bytes.psum
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -578,47 +503,13 @@ mod tests {
     }
 
     #[test]
-    fn partition_fit_rejects_oversized_weights() {
-        // A weight tile bigger than 21.5 % of 512 KB must be rejected.
-        let sh = layer();
-        let arch = ArchSpec::morph();
-        let big = TilingConfig::morph(
-            LoopOrder::base_outer(),
-            LoopOrder::base_inner(),
-            Tile {
-                h: 4,
-                w: 4,
-                f: 2,
-                c: 128,
-                k: 256,
-            }, // weights = 256·128·27 ≈ 864 KB
-            Tile {
-                h: 4,
-                w: 4,
-                f: 1,
-                c: 8,
-                k: 8,
-            },
-            Tile {
-                h: 4,
-                w: 4,
-                f: 1,
-                c: 4,
-                k: 8,
-            },
-            8,
-        )
-        .normalize(&sh);
-        assert!(fits_partitioned(&sh, &big, &arch).is_err());
-    }
-
-    #[test]
     fn energy_floor_is_admissible() {
         // The floor built from a report's own DRAM bytes / MACCs / ideal
-        // cycles never exceeds the attributed total — at any tech node.
+        // cycles never exceeds the attributed total — under banked and
+        // partitioned buffers alike.
         let sh = layer();
-        for tech in [TechNode::Nm32, TechNode::Nm16] {
-            let model = EnergyModel::morph(ArchSpec::morph()).with_tech(tech);
+        let arch = ArchSpec::morph();
+        for model in [EnergyModel::morph(arch), EnergyModel::morph_base(arch)] {
             let traffic = layer_traffic(&sh, &cfg(&sh));
             let par = Parallelism {
                 hp: 4,
@@ -630,7 +521,7 @@ mod tests {
             let r = model.attribute(&sh, &traffic, cycles);
             let floor =
                 model.energy_floor_pj(traffic.boundaries[0].total(), traffic.maccs, cycles.ideal);
-            assert!(floor > 0.0 && floor <= r.total_pj(), "{tech:?}");
+            assert!(floor > 0.0 && floor <= r.total_pj(), "{:?}", model.modes);
         }
     }
 

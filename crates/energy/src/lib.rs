@@ -13,4 +13,3 @@ pub mod cost;
 pub mod tech;
 
 pub use cost::{BufferMode, EnergyModel, EnergyReport, TrafficClass};
-pub use tech::TechNode;

@@ -32,60 +32,6 @@ pub const CHIP_STANDBY_MW: f64 = 12.0;
 /// Activation / weight operand precision in bits (§III Remark).
 pub const OPERAND_BITS: u32 = 8;
 
-/// Process technology node for energy scaling.
-///
-/// All calibrated constants in this module are 32 nm figures (§VI-A). Other
-/// nodes scale them with first-order Dennard-style factors: dynamic energy
-/// with the square of the feature-size ratio (capacitance × V²), static
-/// power roughly linearly. The scaling is uniform across components, so it
-/// never changes which configuration the optimizer picks for the energy
-/// objective — it changes the absolute joules a report carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TechNode {
-    /// 45 nm (Horowitz's original calibration point).
-    Nm45,
-    /// 32 nm — the paper's node; all constants are native here.
-    #[default]
-    Nm32,
-    /// 22 nm.
-    Nm22,
-    /// 16 nm.
-    Nm16,
-}
-
-impl TechNode {
-    /// Feature size in nanometres.
-    pub fn nm(self) -> f64 {
-        match self {
-            TechNode::Nm45 => 45.0,
-            TechNode::Nm32 => 32.0,
-            TechNode::Nm22 => 22.0,
-            TechNode::Nm16 => 16.0,
-        }
-    }
-
-    /// Dynamic-energy multiplier relative to the 32 nm baseline.
-    pub fn dynamic_scale(self) -> f64 {
-        let ratio = self.nm() / 32.0;
-        ratio * ratio
-    }
-
-    /// Static-power multiplier relative to the 32 nm baseline.
-    pub fn static_scale(self) -> f64 {
-        self.nm() / 32.0
-    }
-
-    /// Short display name (`"32nm"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            TechNode::Nm45 => "45nm",
-            TechNode::Nm32 => "32nm",
-            TechNode::Nm22 => "22nm",
-            TechNode::Nm16 => "16nm",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,19 +48,5 @@ mod tests {
     #[test]
     fn dram_is_20pj_per_bit() {
         assert!((DRAM_PJ_PER_BYTE - 20.0 * 8.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn tech_scaling_is_identity_at_32nm() {
-        assert_eq!(TechNode::default(), TechNode::Nm32);
-        assert!((TechNode::Nm32.dynamic_scale() - 1.0).abs() < 1e-12);
-        assert!((TechNode::Nm32.static_scale() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smaller_nodes_cost_less() {
-        assert!(TechNode::Nm16.dynamic_scale() < TechNode::Nm22.dynamic_scale());
-        assert!(TechNode::Nm22.dynamic_scale() < 1.0);
-        assert!(TechNode::Nm45.dynamic_scale() > 1.0);
     }
 }

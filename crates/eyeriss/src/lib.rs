@@ -25,18 +25,17 @@ use morph_dataflow::perf::{layer_cycles, Parallelism};
 use morph_dataflow::traffic::layer_traffic;
 use morph_energy::cacti::sram_pj_per_byte;
 use morph_energy::tech::{DRAM_PJ_PER_BYTE, MACC_PJ, NOC_PJ_PER_BYTE};
-use morph_energy::{EnergyModel, EnergyReport, TechNode};
+use morph_energy::{EnergyModel, EnergyReport};
 use morph_tensor::order::LoopOrder;
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
 
-/// The Eyeriss-like baseline accelerator model.
+/// The Eyeriss-like baseline accelerator model, at the same 32 nm
+/// calibration as the Morph models.
 #[derive(Debug, Clone)]
 pub struct Eyeriss {
     /// Provisioning (Table II column "Eyeriss").
     pub arch: ArchSpec,
-    /// Process node (32 nm native, like the Morph models).
-    pub tech: TechNode,
 }
 
 impl Default for Eyeriss {
@@ -62,14 +61,7 @@ impl Eyeriss {
                 bus_dram_bits: 64,
                 clock_hz: 1_000_000_000,
             },
-            tech: TechNode::Nm32,
         }
-    }
-
-    /// Evaluate at a different process node (builder style).
-    pub fn with_tech(mut self, tech: TechNode) -> Self {
-        self.tech = tech;
-        self
     }
 
     /// Decompose a (possibly 3D) layer into the 2D slices Eyeriss actually
@@ -210,23 +202,18 @@ impl Eyeriss {
             arch: self.arch,
             modes: [morph_energy::BufferMode::Banked { banks: 1 }; 3],
             word_bytes: [8, 8, 2],
-            tech: self.tech,
         };
         let total_cycles = cycles.total * nslices;
-        let static_pj = model.static_mw() * 1e-3 * total_cycles as f64 / self.arch.clock_hz as f64
-            * 1e12
-            * self.tech.static_scale();
+        let static_pj =
+            model.static_mw() * 1e-3 * total_cycles as f64 / self.arch.clock_hz as f64 * 1e12;
 
-        // The static term already carries its node via `model.tech`; the
-        // hand-computed dynamic terms are 32 nm natives, so scale those.
-        let dy = self.tech.dynamic_scale();
         EnergyReport {
             dram_pj: dram * nslices as f64 + merge_dram,
-            l2_pj: (glb * nslices as f64 + merge_glb) * dy,
+            l2_pj: glb * nslices as f64 + merge_glb,
             l1_pj: 0.0,
-            l0_pj: rf * nslices as f64 * dy,
-            noc_pj: noc * nslices as f64 * dy,
-            compute_pj: compute * nslices as f64 * dy,
+            l0_pj: rf * nslices as f64,
+            noc_pj: noc * nslices as f64,
+            compute_pj: compute * nslices as f64,
             static_pj,
             cycles: morph_dataflow::perf::CycleReport {
                 compute: cycles.compute * nslices,

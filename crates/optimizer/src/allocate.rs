@@ -387,23 +387,7 @@ pub fn assemble_hierarchy(
     [l2, l1, l0]: [Tile; 3],
     arch: &ArchSpec,
 ) -> Option<TilingConfig> {
-    let reg = Tile {
-        h: 1,
-        w: 1,
-        f: 1,
-        c: 1,
-        k: arch.vector_width.min(l0.k).max(1),
-    };
-    let level = |order, tile| LevelConfig { order, tile };
-    let cfg = TilingConfig {
-        levels: vec![
-            level(outer, l2),
-            level(inner, l1),
-            level(inner, l0),
-            level(inner, reg),
-        ],
-    }
-    .normalize(shape);
+    let cfg = TilingConfig::morph(outer, inner, l2, l1, l0, arch.vector_width).normalize(shape);
     cfg.validate(shape).ok()?;
     Some(cfg)
 }
@@ -449,39 +433,17 @@ pub fn policy_tile(shape: &ConvShape, parent: &Tile, level: OnChipLevel, arch: &
 
 /// Build Morph_base's full fixed-policy hierarchy for a layer.
 pub fn base_hierarchy(shape: &ConvShape, arch: &ArchSpec) -> TilingConfig {
-    let whole = Tile::whole(shape);
-    let outer = LoopOrder::base_outer();
-    let inner = LoopOrder::base_inner();
-    let l2 = policy_tile(shape, &whole, OnChipLevel::L2, arch);
+    let l2 = policy_tile(shape, &Tile::whole(shape), OnChipLevel::L2, arch);
     let l1 = policy_tile(shape, &l2, OnChipLevel::L1, arch);
     let l0 = policy_tile(shape, &l1, OnChipLevel::L0, arch);
-    let reg = Tile {
-        h: 1,
-        w: 1,
-        f: 1,
-        c: 1,
-        k: arch.vector_width.min(l0.k).max(1),
-    };
-    TilingConfig {
-        levels: vec![
-            LevelConfig {
-                order: outer,
-                tile: l2,
-            },
-            LevelConfig {
-                order: inner,
-                tile: l1,
-            },
-            LevelConfig {
-                order: inner,
-                tile: l0,
-            },
-            LevelConfig {
-                order: inner,
-                tile: reg,
-            },
-        ],
-    }
+    TilingConfig::morph(
+        LoopOrder::base_outer(),
+        LoopOrder::base_inner(),
+        l2,
+        l1,
+        l0,
+        arch.vector_width,
+    )
     .normalize(shape)
 }
 

@@ -17,11 +17,8 @@
 //! [`Optimizer::search_sweep`] searches a layer on several shares of the
 //! chip's clusters, sharing the budget-independent work (L2-tile groups,
 //! hierarchy allocations, tile chain summaries) across them.
-//! Configurations can be persisted to a plain-text schedule file and
-//! recalled.
 
 pub mod allocate;
-pub mod schedule;
 pub mod search;
 pub mod space;
 pub mod store;

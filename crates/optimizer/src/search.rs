@@ -136,26 +136,12 @@ struct Work {
     corner_scores: u64,
 }
 
-/// What a [`SweepState`]'s groups and rows are built from: the shape, the
-/// fit policy, the architecture apart from its cluster count, the effort
-/// and the order restrictions.
-#[derive(PartialEq)]
-struct StreamInputs {
-    shape: ConvShape,
-    policy: FitPolicy,
-    arch: ArchSpec,
-    effort: Effort,
-    outer_orders: Option<Vec<LoopOrder>>,
-    inner_orders: Option<Vec<LoopOrder>>,
-}
-
 /// The candidate stream a [`SweepState`] shares: its L2-tile groups,
 /// per group its rows' allocations by inner order (empty until a search
 /// first visits the group, so unvisited groups cost no row storage), and
 /// the shape's chain summaries, which the groups' DRAM bytes, the rows'
 /// corner sets and every costed candidate draw from.
 struct SharedStream {
-    inputs: StreamInputs,
     groups: Vec<TileGroup>,
     rows: Vec<Vec<Row>>,
     chains: ChainSummaries,
@@ -171,11 +157,12 @@ struct SharedStream {
 ///
 /// The seed is the last decision a search in this state returned; the
 /// next search costs its L2-tile group first. It only orders the search.
-/// The groups and rows remember the inputs they were built under — the
-/// shape, fit policy, architecture apart from its cluster count, effort,
-/// and outer/inner order restrictions — and a search that arrives with
-/// other inputs empties them first, so a state never changes a decision.
-/// The state lives for one sweep.
+/// The groups and rows are built by the state's first search and are
+/// valid for every later one, so the state keeps no record of its inputs:
+/// a state lives for one public call ([`Optimizer::search_layer`],
+/// [`Optimizer::search_sweep`] or [`Optimizer::search_layer_exhaustive`])
+/// of one optimizer on one shape, and an optimizer's inputs — fit policy,
+/// architecture, effort, order restrictions — are fixed when it is built.
 #[derive(Default)]
 struct SweepState {
     seed: Option<LayerDecision>,
@@ -186,23 +173,26 @@ struct SweepState {
 ///
 /// It searches every cluster budget of one chip: a search at budget `c`
 /// runs on the chip cut to `c` compute clusters (its L2 and every other
-/// provision stay whole) and memoizes under that budget.
+/// provision stay whole) and memoizes under that budget. Its inputs are
+/// fixed when it is built: only the constructors and the `with_*` methods
+/// set them, and each `with_*` method that changes the search space
+/// starts a fresh memo, so no memoized decision outlives its inputs.
 pub struct Optimizer {
     /// Cost model of the whole chip (also fixes the architecture).
-    pub model: EnergyModel,
+    model: EnergyModel,
     /// Tile fit policy (banked for Morph, partitioned for Morph_base).
-    pub policy: FitPolicy,
+    policy: FitPolicy,
     /// Search effort.
-    pub effort: Effort,
+    effort: Effort,
     /// Restrict the outer-order space (`None` = full candidate set).
-    pub outer_orders: Option<Vec<LoopOrder>>,
+    outer_orders: Option<Vec<LoopOrder>>,
     /// Restrict the inner-order space.
-    pub inner_orders: Option<Vec<LoopOrder>>,
+    inner_orders: Option<Vec<LoopOrder>>,
     /// Pin the parallelism to [`Parallelism::base`] of the searched chip
     /// instead of searching it.
-    pub base_parallelism: bool,
+    base_parallelism: bool,
     /// Use Morph_base's fixed tiling policy instead of searching tiles.
-    pub fixed_tile_policy: bool,
+    fixed_tile_policy: bool,
     /// Decision memo (see [`DecisionStore`]), keyed by cluster budget.
     store: Arc<DecisionStore>,
     /// Trace sink for search spans/counters (see [`Optimizer::with_recorder`]).
@@ -284,6 +274,11 @@ impl Optimizer {
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
+    }
+
+    /// The whole chip this optimizer searches budgets of.
+    pub fn arch(&self) -> &ArchSpec {
+        &self.model.arch
     }
 
     /// The decision store this optimizer reads and writes, one entry per
@@ -457,7 +452,7 @@ impl Optimizer {
     /// every candidate whose bound cannot beat the incumbent. Both paths
     /// select the minimum `(score, original index)` candidate, so their
     /// decisions are identical. The groups and row allocations come from
-    /// `state`, built here when it holds none for this search's inputs.
+    /// `state`, built here by its first search.
     fn run_search(
         &self,
         shape: &ConvShape,
@@ -527,45 +522,28 @@ impl Optimizer {
         };
         let n_inner = inner_cands.len();
 
-        // The budget-independent part of the stream: built once per state
-        // and set of inputs, shared by every budget and objective after.
-        let inputs = StreamInputs {
-            shape: *shape,
-            policy: self.policy,
-            arch: ArchSpec {
-                clusters: 0,
-                ..*arch
-            },
-            effort: self.effort,
-            outer_orders: self.outer_orders.clone(),
-            inner_orders: self.inner_orders.clone(),
-        };
+        // The budget-independent part of the stream: built by the state's
+        // first search, shared by every budget and objective after.
         let SweepState { seed, stream } = state;
         // Chain summaries this search finds already built (trace only).
-        let mut summaries_before = 0;
-        match stream {
-            Some(s) if s.inputs == inputs => summaries_before = s.chains.built(),
-            _ => {
-                let outer_cands = self
-                    .outer_orders
-                    .clone()
-                    .unwrap_or_else(|| outer_order_candidates(self.effort));
-                let mut chains = ChainSummaries::new(shape);
-                let groups = self.tile_groups(arch, &mut chains, &outer_cands, n_inner as u64);
-                *stream = Some(SharedStream {
-                    rows: vec![Vec::new(); groups.len()],
-                    inputs,
-                    groups,
-                    chains,
-                });
-            }
-        }
+        let summaries_before = stream.as_ref().map_or(0, |s| s.chains.built());
         let SharedStream {
             groups,
             rows,
             chains,
-            ..
-        } = stream.as_mut().expect("stream built above");
+        } = stream.get_or_insert_with(|| {
+            let outer_cands = self
+                .outer_orders
+                .clone()
+                .unwrap_or_else(|| outer_order_candidates(self.effort));
+            let mut chains = ChainSummaries::new(shape);
+            let groups = self.tile_groups(arch, &mut chains, &outer_cands, n_inner as u64);
+            SharedStream {
+                rows: vec![Vec::new(); groups.len()],
+                groups,
+                chains,
+            }
+        });
 
         let maccs = shape.maccs();
         // Admissible score floor for a candidate, from its exact DRAM
@@ -1029,62 +1007,6 @@ mod tests {
             "warm {warm_summaries} vs cold {cold_summaries} summaries built"
         );
         assert_eq!(warm_stats, cold_stats);
-    }
-
-    /// A state filled under one optimizer's inputs and handed to another
-    /// whose inputs differ — Morph_base, or Morph with only its fit policy,
-    /// its outer or inner orders, or its L1 changed — or to another shape
-    /// is emptied first: each search returns what a fresh state returns.
-    #[test]
-    fn sweep_state_never_crosses_inputs() {
-        let arch = ArchSpec::morph();
-        let shapes = [
-            layer(),
-            ConvShape::new_3d(14, 14, 4, 32, 64, 3, 3, 3).with_pad(1, 1),
-        ];
-        let morph = || Optimizer::morph(EnergyModel::morph(arch), Effort::Fast);
-        let base = || Optimizer::morph_base(EnergyModel::morph_base(arch));
-        let partitioned = || {
-            let mut opt = morph();
-            opt.policy = FitPolicy::Partitioned;
-            opt
-        };
-        let few_outers = || morph().with_outer_orders(vec!["KWHCF".parse().unwrap()]);
-        let few_inners = || morph().with_inner_orders(vec!["kfwhc".parse().unwrap()]);
-        let small_l1 = || {
-            let arch = ArchSpec {
-                l1_bytes: arch.l1_bytes / 4,
-                ..arch
-            };
-            Optimizer::morph(EnergyModel::morph(arch), Effort::Fast)
-        };
-        // Every change of inputs, each from and back to Morph; the state
-        // also carries from one shape's last search to the next shape's.
-        let sequence: [&dyn Fn() -> Optimizer; 11] = [
-            &morph,
-            &base,
-            &morph,
-            &partitioned,
-            &morph,
-            &few_outers,
-            &morph,
-            &few_inners,
-            &morph,
-            &small_l1,
-            &morph,
-        ];
-        for objective in [Objective::Energy, Objective::PerfPerWatt] {
-            let mut state = SweepState::default();
-            for sh in &shapes {
-                for (i, build) in sequence.iter().enumerate() {
-                    let shared = build().search_in(sh, objective, arch.clusters, &mut state);
-                    let fresh = build().search_layer(sh, objective);
-                    assert_eq!(shared.config, fresh.config, "{i} {sh:?} {objective:?}");
-                    assert_eq!(shared.par, fresh.par, "{i} {sh:?} {objective:?}");
-                    assert_eq!(shared.report, fresh.report, "{i} {sh:?} {objective:?}");
-                }
-            }
-        }
     }
 
     /// Searches of one optimizer at different cluster budgets share its

@@ -197,12 +197,6 @@ impl DecisionStore {
             .values()
             .fold(SearchStats::default(), |acc, e| acc.add(&e.stats))
     }
-
-    /// Drop every memoized decision (search-space changes invalidate the
-    /// store).
-    pub fn clear(&self) {
-        self.table().clear();
-    }
 }
 
 #[cfg(test)]

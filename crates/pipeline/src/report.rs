@@ -125,11 +125,9 @@ pub struct StageReport {
     /// Cycles spent blocked on a full output channel.
     pub blocked_cycles: u64,
     /// Cycles spent starved on empty input channels (blocked-on-empty;
-    /// `0` for source stages and when parsed from a pre-v6 document —
-    /// earlier schemas recorded only the blocked-on-full side).
+    /// `0` for source stages).
     pub starved_cycles: u64,
-    /// Compute clusters the stage is scheduled on (`0` when the schedule
-    /// predates allocation-aware reports — pre-v4 documents).
+    /// Compute clusters the stage is scheduled on (at least 1).
     pub clusters: u64,
 }
 
@@ -176,13 +174,11 @@ pub struct PipelineReport {
     pub chain_fill_cycles: u64,
     /// Name of the bottleneck stage (across all branches).
     pub bottleneck: String,
-    /// Energy one frame spends traversing every scheduled stage, in pJ
-    /// (`0.0` when parsed from a pre-v4 document).
+    /// Energy one frame spends traversing every scheduled stage, in pJ.
     pub energy_per_frame_pj: f64,
     /// Peak chip power of the schedule in mW: the hottest
     /// concurrently-live stage group, with over-subscribed groups derated
-    /// by their time-multiplexing factor (`0.0` when parsed from a pre-v4
-    /// document).
+    /// by their time-multiplexing factor.
     pub peak_power_mw: f64,
     /// Per-stage detail, in linearized order.
     pub stages: Vec<StageReport>,
@@ -275,12 +271,11 @@ impl PipelineReport {
     /// the simulated service unless `rebalanced[i]`); `serial_fps` is
     /// derived from their sum — the throughput of scoring every layer in
     /// isolation, which pipelining can only improve. `clusters[i]` is the
-    /// compute-cluster share stage `i` is scheduled on (pass an empty
-    /// slice to leave shares unrecorded). The chain-baseline fields
-    /// default to the DAG numbers (exact for linear networks); callers
-    /// that also simulated the linearized chain override them with
-    /// [`PipelineReport::with_chain_baseline`], and energy/power ride in
-    /// via [`PipelineReport::with_power`].
+    /// compute-cluster share stage `i` is scheduled on. The chain-baseline
+    /// fields default to the DAG numbers (exact for linear networks);
+    /// callers that also simulated the linearized chain override them
+    /// with [`PipelineReport::with_chain_baseline`], and energy/power ride
+    /// in via [`PipelineReport::with_power`].
     pub fn from_stats(
         stats: &PipelineStats,
         mode: PipelineMode,
@@ -291,7 +286,7 @@ impl PipelineReport {
     ) -> Self {
         assert_eq!(stats.stages.len(), base_services.len());
         assert_eq!(stats.stages.len(), rebalanced.len());
-        assert!(clusters.is_empty() || clusters.len() == stats.stages.len());
+        assert_eq!(stats.stages.len(), clusters.len());
         let serial_cycles: u64 = base_services.iter().sum();
         let stages: Vec<StageReport> = stats
             .stages
@@ -305,7 +300,7 @@ impl PipelineReport {
                 utilization: stats.utilization(i),
                 blocked_cycles: s.blocked_cycles,
                 starved_cycles: s.starved_cycles,
-                clusters: clusters.get(i).map_or(0, |&c| c as u64),
+                clusters: clusters[i] as u64,
             })
             .collect();
         let edges: Vec<EdgeReport> = stats

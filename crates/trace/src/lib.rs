@@ -456,20 +456,6 @@ pub fn canonical_sort(events: &mut [TraceEvent]) {
     });
 }
 
-impl TraceBuffer {
-    /// A copy of this buffer with its events in canonical order (see
-    /// [`canonical_sort`]). Use for order-insensitive buffer comparison;
-    /// two buffers recording the same events compare equal after
-    /// canonicalization regardless of recording interleaving.
-    pub fn canonicalized(&self) -> TraceBuffer {
-        let mut events = self.events();
-        canonical_sort(&mut events);
-        TraceBuffer {
-            events: Mutex::new(events),
-        }
-    }
-}
-
 /// A [`Recorder`] adapter that prepends a fixed prefix to every event's
 /// track before forwarding to an inner recorder. Layers that run the same
 /// instrumented code for several contexts (e.g. one pipeline simulation

@@ -6,9 +6,8 @@
 //! cargo run --release -p morph-core --example schedule_c3d
 //! ```
 
-use morph_core::{Morph, Session};
+use morph_core::{Morph, RunReport, Session};
 use morph_nets::zoo;
-use morph_optimizer::schedule::{from_text, to_text, ScheduleEntry};
 
 fn main() {
     let report = Session::builder()
@@ -23,7 +22,6 @@ fn main() {
         "{:10} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8}",
         "layer", "outer", "inner", "Kt", "Ht", "Ft", "Kp*Vw"
     );
-    let mut entries = Vec::new();
     for layer in &run.layers {
         let d = layer
             .decision
@@ -42,22 +40,18 @@ fn main() {
             l2.f,
             d.par.kp * 8
         );
-        entries.push(ScheduleEntry {
-            layer: layer.name.clone(),
-            config: d.config.clone(),
-            par: d.par,
-        });
     }
 
-    // Persist and recall (§V).
-    let text = to_text(&entries);
-    let path = std::env::temp_dir().join("c3d_schedule.txt");
-    std::fs::write(&path, &text).expect("write schedule");
-    let recalled = from_text(&std::fs::read_to_string(&path).unwrap()).expect("parse schedule");
-    assert_eq!(recalled, entries);
+    // Persist and recall (§V): the report's JSON carries every layer's
+    // tiling configuration and parallelism bit for bit.
+    let path = std::env::temp_dir().join("c3d_schedule.json");
+    std::fs::write(&path, report.to_json_string()).expect("write schedule");
+    let recalled =
+        RunReport::from_json_str(&std::fs::read_to_string(&path).unwrap()).expect("parse schedule");
+    assert_eq!(recalled.runs[0].layers, run.layers);
     println!(
         "\nSchedule saved to {} and round-tripped ({} layers).",
         path.display(),
-        recalled.len()
+        recalled.runs[0].layers.len()
     );
 }

@@ -4,7 +4,7 @@
 
 use morph_core::{
     ArchSpec, Backend, Effort, EnergyModel, Eyeriss, Morph, MorphBase, Objective, Optimizer,
-    PipelineMode, RunReport, Session, TechNode,
+    PipelineMode, RunReport, Session,
 };
 use morph_nets::Network;
 use morph_tensor::shape::ConvShape;
@@ -97,7 +97,7 @@ fn session_matches_per_layer_direct_evaluation() {
 fn run_report_json_round_trip() {
     let report = Session::builder()
         .backend(Morph::builder().objective(Objective::PerfPerWatt).build())
-        .backend(Eyeriss::builder().tech(TechNode::Nm22).build())
+        .backend(Eyeriss::builder().build())
         .network(resnet_like())
         .build()
         .run();

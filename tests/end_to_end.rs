@@ -89,25 +89,22 @@ fn analytical_traffic_matches_hw_counters_without_halo() {
     assert_eq!(counters.dram_writes, analytical.dram().output_up);
 }
 
-/// Persisted schedules drive the hardware after a round trip through the
-/// text format (save → recall → execute).
+/// A saved mapping drives the hardware after a round trip through the
+/// JSON text form reports are saved in (save → recall → execute).
 #[test]
 fn recalled_schedule_drives_hardware() {
-    use morph_optimizer::schedule::{from_text, to_text, ScheduleEntry};
+    use morph_json::{FromJson as _, ToJson as _, Value};
     let shape = ConvShape::new_3d(8, 8, 3, 4, 8, 3, 3, 2).with_pad(1, 0);
     let d = Morph::new().evaluate_layer(&shape).decision.unwrap();
-    let text = to_text(&[ScheduleEntry {
-        layer: "l".into(),
-        config: d.config,
-        par: d.par,
-    }]);
-    let recalled = from_text(&text).unwrap();
+    let text = d.config.to_json().pretty();
+    let recalled = TilingConfig::from_json(&Value::parse(&text).unwrap()).unwrap();
+    assert_eq!(recalled, d.config);
 
     let input = synth_input(&shape, 9);
     let filters = synth_filters(&shape, 10);
     let mut chip = MorphChip::new(ArchSpec::morph());
-    chip.configure(&shape, &recalled[0].config).unwrap();
-    let (out, _) = chip.run_layer(&shape, &recalled[0].config, &input, &filters);
+    chip.configure(&shape, &recalled).unwrap();
+    let (out, _) = chip.run_layer(&shape, &recalled, &input, &filters);
     assert_eq!(
         out.as_slice(),
         conv3d_reference(&shape, &input, &filters).as_slice()
