@@ -280,17 +280,20 @@ fn audit_pipeline(
         }
     };
 
-    let stages = p.get("stages").and_then(Value::as_arr).unwrap_or_default();
-    if layer_count > 0 && !stages.is_empty() && stages.len() != layer_count {
-        out.push(v(
+    let stages = p.get("stages").and_then(Value::as_arr);
+    match stages {
+        None => out.push(v("missing-field", &subj, "no \"stages\" array".into())),
+        Some(stages) if layer_count > 0 && stages.len() != layer_count => out.push(v(
             "stage-count-mismatch",
             &subj,
             format!(
                 "pipeline schedules {} stages over a run of {layer_count} layers",
                 stages.len()
             ),
-        ));
+        )),
+        Some(_) => {}
     }
+    let stages = stages.unwrap_or_default();
 
     // Stall accounting: the engine's cycle identity. A stage is, at every
     // cycle of its busy span, in exactly one of {service, blocked-on-full,
@@ -966,6 +969,31 @@ mod tests {
         remove(&mut d, &[Key("runs"), Idx(0), Key("pipeline")], "edges");
         let violations = audit_value(&d, &ctx());
         assert_eq!(only(&violations), ("missing-field", "no \"edges\" array"));
+    }
+
+    #[test]
+    fn pipeline_without_stages_is_flagged() {
+        let mut d = doc();
+        remove(&mut d, &[Key("runs"), Idx(0), Key("pipeline")], "stages");
+        let violations = audit_value(&d, &ctx());
+        assert_eq!(only(&violations), ("missing-field", "no \"stages\" array"));
+    }
+
+    #[test]
+    fn pipeline_with_no_stages_is_a_count_mismatch() {
+        let mut d = doc();
+        *at(
+            &mut d,
+            &[Key("runs"), Idx(0), Key("pipeline"), Key("stages")],
+        ) = Value::Arr(vec![]);
+        let violations = audit_value(&d, &ctx());
+        assert_eq!(
+            only(&violations),
+            (
+                "stage-count-mismatch",
+                "pipeline schedules 0 stages over a run of 2 layers"
+            )
+        );
     }
 
     #[test]

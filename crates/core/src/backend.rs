@@ -118,9 +118,9 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// The builder's chip, checked when its backend is built: a chip that
-/// cannot compute panics here, naming the field, instead of at its
-/// first search.
+/// The Eyeriss builder's chip, checked when its backend is built: a chip
+/// that cannot compute panics here, naming the field, as the searched
+/// backends' optimizers do.
 fn checked(arch: ArchSpec) -> ArchSpec {
     if let Err(e) = arch.validate() {
         panic!("{e}");
@@ -298,7 +298,7 @@ impl MorphBuilder {
     /// If the chip fails [`ArchSpec::validate`]; the message names the
     /// field.
     pub fn build(self) -> Morph {
-        let model = EnergyModel::morph(checked(self.arch));
+        let model = EnergyModel::morph(self.arch);
         let mut opt = Optimizer::morph(model, self.effort);
         if let Some(orders) = self.outer_orders {
             opt = opt.with_outer_orders(orders);
@@ -417,7 +417,7 @@ impl MorphBaseBuilder {
     /// If the chip fails [`ArchSpec::validate`]; the message names the
     /// field.
     pub fn build(self) -> MorphBase {
-        let model = EnergyModel::morph_base(checked(self.arch));
+        let model = EnergyModel::morph_base(self.arch);
         let mut opt = Optimizer::morph_base(model);
         if self.fixed_tile_policy {
             opt = opt.with_fixed_tile_policy();

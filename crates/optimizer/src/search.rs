@@ -201,11 +201,27 @@ pub struct Optimizer {
     recorder: Arc<dyn Recorder>,
 }
 
+/// The model, once its chip is known to compute: the search divides by
+/// the chip's peak MACC rate, so a chip that fails
+/// [`morph_dataflow::arch::ArchSpec::validate`] panics here, naming the
+/// field, instead of at its first search.
+fn checked(model: EnergyModel) -> EnergyModel {
+    if let Err(e) = model.arch.validate() {
+        panic!("{e}");
+    }
+    model
+}
+
 impl Optimizer {
     /// Full-flexibility Morph optimizer.
+    ///
+    /// # Panics
+    ///
+    /// If the model's chip fails `ArchSpec::validate`; the message names
+    /// the field.
     pub fn morph(model: EnergyModel, effort: Effort) -> Self {
         Self {
-            model,
+            model: checked(model),
             policy: FitPolicy::Banked,
             effort,
             outer_orders: None,
@@ -219,9 +235,14 @@ impl Optimizer {
 
     /// Morph_base: fixed `[WHCKF]`/`[cfwhk]` orders, Table I partitions,
     /// fixed `Hp × Kp` parallelism (§IV-A3, §VI-B).
+    ///
+    /// # Panics
+    ///
+    /// If the model's chip fails `ArchSpec::validate`; the message names
+    /// the field.
     pub fn morph_base(model: EnergyModel) -> Self {
         Self {
-            model,
+            model: checked(model),
             policy: FitPolicy::Partitioned,
             effort: Effort::Fast,
             outer_orders: Some(vec![LoopOrder::base_outer()]),
@@ -788,6 +809,35 @@ mod tests {
             em.total_pj(),
             eb.total_pj()
         );
+    }
+
+    #[test]
+    fn constructors_reject_a_chip_that_cannot_compute() {
+        use std::panic::catch_unwind;
+        type Zero = (&'static str, fn(&mut ArchSpec));
+        let zeros: [Zero; 5] = [
+            ("clusters", |a| a.clusters = 0),
+            ("pes_per_cluster", |a| a.pes_per_cluster = 0),
+            ("vector_width", |a| a.vector_width = 0),
+            ("banks", |a| a.banks = 0),
+            ("clock_hz", |a| a.clock_hz = 0),
+        ];
+        for (field, zero) in zeros {
+            let mut arch = ArchSpec::morph();
+            zero(&mut arch);
+            let builds = [
+                catch_unwind(|| drop(Optimizer::morph(EnergyModel::morph(arch), Effort::Fast))),
+                catch_unwind(|| drop(Optimizer::morph_base(EnergyModel::morph_base(arch)))),
+            ];
+            for (ctor, build) in ["morph", "morph_base"].into_iter().zip(builds) {
+                let panic = build.expect_err(&format!("Optimizer::{ctor} took zero {field}"));
+                let msg = panic.downcast_ref::<String>().expect("formatted message");
+                assert!(
+                    msg.contains(field),
+                    "Optimizer::{ctor}, zero {field}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,16 +34,23 @@
 //! holds the consumer's last `cap_e + 1` pops, which serve both the
 //! credit term and the channel's peak occupancy.
 //!
-//! Its work is bounded by the schedule's transient. Once every credit
-//! term is live, the rest of a run depends only on each stage's `rel`,
-//! each ring and each channel's lag, and the recurrence reads those only
-//! through maxima, differences and `<=` tests. Max-plus cyclicity says
-//! that state repeats after a transient, up to one time shift per weakly
-//! connected component. An untraced run snapshots it at power-of-two
-//! checkpoints (Brent), and at the first repeat it jumps whole periods
-//! at once: times gain their shifts, and blocked, starved and residence
-//! sums gain their growth over one period. A run that never repeats,
-//! and every traced run, is evaluated frame by frame.
+//! Its work is bounded by the schedule's regime changes. Once every
+//! credit term is live, the rest of a run depends only on each stage's
+//! `pop` and `rel`, each ring and each channel's lag, and the recurrence
+//! reads those only through maxima, differences and `<=` tests. An
+//! untraced run compares each frame's state with the previous frame's.
+//! When every ring moved by its consumer's `pop` shift, the schedule is
+//! an affine regime: every `pop` and `rel` advances by its own shift per
+//! frame for as long as each max keeps its winner. A term that grows
+//! faster than its max closes the margin by the difference of the two
+//! shifts per frame, so the run jumps straight to the first frame where
+//! one could overtake. A periodic schedule of period 1 is the case where
+//! no margin shrinks. Longer periods are caught by snapshots at
+//! power-of-two checkpoints (Brent), once the state repeats with one
+//! shift across every edge. A jump moves times by their shifts, and
+//! blocked, starved and residence sums by a linear plus a quadratic
+//! term. Every traced run, and every run whose rings never fill, is
+//! evaluated frame by frame.
 //!
 //! [`simulate_traced`] additionally records the run through a
 //! `morph_trace::Recorder` in **simulated cycles**: per-stage `service` /
@@ -377,73 +384,142 @@ impl State {
         }
     }
 
-    /// Whether this state, `p` frames after `then`, repeats it up to one
-    /// time shift per weakly connected component: the shift of stage
-    /// `i`'s component is the gain of its lowest stage, `root[i]`.
-    /// Maxima, differences and `<=` tests are all the recurrence reads,
-    /// so the remaining frames then repeat with the same shifts. The
-    /// state is each `rel`, each ring read in frame order, and each
-    /// channel's lag behind its producer. Late stages are checked first:
-    /// in a transient they are the likeliest to have drifted.
-    fn repeats(&self, then: &State, p: u64, root: &[usize], edges: &[EdgeSpec]) -> bool {
-        let moved = |now: u64, old: u64, i: usize| {
-            old.checked_add(self.rel[root[i]] - then.rel[root[i]]) == Some(now)
-        };
-        (0..self.rel.len())
-            .rev()
-            .all(|i| moved(self.rel[i], then.rel[i], i))
-            && edges
-                .iter()
-                .zip(self.chans.iter().zip(&then.chans))
-                .all(|(e, (c, old))| {
-                    c.popped - old.popped == p
-                        && (0..old.ring.len())
-                            .all(|t| moved(c.ring[c.slot(t as u64 + p)], old.ring[t], e.from))
-                })
+    /// Whether this state, `p` frames after `then`, moved by one time
+    /// shift per variable: every ring, read in frame order, by its
+    /// consumer's `pop` shift (each stage's `pop` and `rel` move by their
+    /// own shifts by definition, and each channel's lag follows from its
+    /// ring and its producer's push). Over one frame that makes the
+    /// schedule an affine regime, which lasts [`State::regime_frames`].
+    /// Over `p > 1` frames the two ends of every edge, and each stage's
+    /// `pop` and `rel`, must also share one shift: the state then
+    /// repeats, and so does every period after it.
+    fn repeats(&self, then: &State, p: u64, edges: &[EdgeSpec]) -> bool {
+        let rel = |i: usize| self.rel[i] - then.rel[i];
+        let pop = |i: usize| self.pop[i] - then.pop[i];
+        edges
+            .iter()
+            .zip(self.chans.iter().zip(&then.chans))
+            .all(|(e, (c, old))| {
+                let d = pop(e.to);
+                // Slot `t` then is slot `t + p` now.
+                let (wrapped, moved) = c.ring.split_at(c.slot(p));
+                (p == 1 || rel(e.from) == d)
+                    && old
+                        .ring
+                        .iter()
+                        .zip(moved.iter().chain(wrapped))
+                        .all(|(&t, &now)| t.checked_add(d) == Some(now))
+            })
+            && (p == 1 || (0..self.rel.len()).all(|i| pop(i) == rel(i)))
     }
 
-    /// Jump `q` periods ahead, where this state repeats `then` after
-    /// `p` frames ([`State::repeats`]): times gain `q` component shifts,
-    /// rings are re-slotted for the new frame index, and each
-    /// accumulator gains `q` times its growth over one period. Peaks stay
-    /// put: every occupancy of the skipped periods was already folded.
-    fn advance(&mut self, then: &State, p: u64, q: u64, root: &[usize], edges: &[EdgeSpec]) {
-        let shift: Vec<u64> = root
-            .iter()
-            .map(|&r| q * (self.rel[r] - then.rel[r]))
-            .collect();
-        for (i, &d) in shift.iter().enumerate() {
-            self.rel[i] += d;
-            self.pop[i] += d;
-            self.blocked[i] += q * (self.blocked[i] - then.blocked[i]);
-            self.starved[i] += q * (self.starved[i] - then.starved[i]);
+    /// How many frames past frame `j` the affine regime lasts, where this
+    /// state moved one frame from `last` ([`State::repeats`]); at most
+    /// `left`, and 0 unless every max is won by a term that grows as fast
+    /// as the max itself. Every `pop` and `rel` then moves by its own
+    /// shift per frame until a faster term overtakes the winner: a push
+    /// that a pop awaits, the stage's own previous release, its service
+    /// end, or a credit `pop_v(j - cap)`. Each closes its margin by the
+    /// difference of the two shifts per frame, and a tie leaves the max
+    /// unchanged.
+    fn regime_frames(&self, last: &State, spec: &PipelineSpec, j: u64, left: u64) -> u64 {
+        let n = self.rel.len();
+        let rel = |i: usize| (self.rel[i], self.rel[i] - last.rel[i]);
+        let pop = |i: usize| (self.pop[i], self.pop[i] - last.pop[i]);
+        let mut q = left;
+        let (mut pop_won, mut rel_won) = (vec![false; n], vec![false; n]);
+        // A term `(value, shift)` of the max `(value, shift)`.
+        let mut term = |won: &mut bool, (m, dm): (u64, u64), (t, dt): (u64, u64)| {
+            *won |= t == m && dt == dm;
+            if dt > dm {
+                q = q.min((m - t) / (dt - dm));
+            }
+        };
+        for (i, s) in spec.stages.iter().enumerate() {
+            let ((r, dr), (at, dp)) = (rel(i), pop(i));
+            term(&mut pop_won[i], (at, dp), (r - dr, dr));
+            term(&mut rel_won[i], (r, dr), (at + s.service_cycles, dp));
         }
-        for (e, (c, old)) in edges.iter().zip(self.chans.iter_mut().zip(&then.chans)) {
+        for (e, c) in spec.edges.iter().zip(&self.chans) {
+            term(&mut pop_won[e.to], pop(e.to), rel(e.from));
+            let credit = c.ring[c.slot(j - e.capacity as u64)];
+            term(&mut rel_won[e.from], rel(e.from), (credit, pop(e.to).1));
+        }
+        if pop_won.iter().chain(&rel_won).all(|&won| won) {
+            q
+        } else {
+            0
+        }
+    }
+
+    /// Jump `q` times `p` frames past frame `j`, where this state moved
+    /// `p` frames from `then` ([`State::repeats`]) and no max changes its
+    /// winner on the way. Times gain `q` shifts and rings are re-slotted
+    /// for the new frame index. Each sum gains `q` times its last growth
+    /// plus `q(q+1)/2` times the drift of its summand: blocked cycles
+    /// (`rel - pop - s`), starved cycles (`pop - rel` of the frame before)
+    /// and residence (`pop_to - rel_from`) all drift unless `p > 1`. Each
+    /// channel's lag is recounted from its ring, and its peak takes the
+    /// occupancy the jump leaves: within one regime occupancy moves one
+    /// way only, so the skipped frames peak at an end. Returns `false`,
+    /// with the state untouched, if a `rel` would overflow; every other
+    /// time and sum is bounded by the `rel`s and the frame count.
+    fn advance(&mut self, then: &State, j: u64, p: u64, q: u64, edges: &[EdgeSpec]) -> bool {
+        let State {
+            rel,
+            pop,
+            blocked,
+            starved,
+            chans,
+        } = self;
+        let fits = rel.iter().zip(&then.rel).all(|(&now, &old)| {
+            q.checked_mul(now - old)
+                .and_then(|gain| now.checked_add(gain))
+                .is_some()
+        });
+        if !fits {
+            return false;
+        }
+        for ((e, c), old) in edges.iter().zip(chans.iter_mut()).zip(&then.chans) {
+            let (dp, dr) = (pop[e.to] - then.pop[e.to], rel[e.from] - then.rel[e.from]);
+            c.residence += series(q, c.residence - old.residence, dp, dr);
             let len = c.ring.len() as u64;
             c.ring.rotate_right((q * p % len) as usize);
             for t in &mut c.ring {
-                *t += shift[e.from];
+                *t += q * dp;
             }
-            c.popped += q * p;
-            c.residence += u128::from(q) * (c.residence - old.residence);
         }
+        for i in 0..rel.len() {
+            let (dr, dp) = (rel[i] - then.rel[i], pop[i] - then.pop[i]);
+            blocked[i] += series(q, u128::from(blocked[i] - then.blocked[i]), dr, dp) as u64;
+            starved[i] += series(q, u128::from(starved[i] - then.starved[i]), dp, dr) as u64;
+            rel[i] += q * dr;
+            pop[i] += q * dp;
+        }
+        let to = j + q * p;
+        for (e, c) in edges.iter().zip(chans.iter_mut()) {
+            // The ring holds pops `to - cap ..= to`, and the credit put
+            // every pop up to `to - cap` no later than the push.
+            c.popped = to + 1 - c.ring.len() as u64;
+            while c.popped <= to && c.ring[c.slot(c.popped)] <= rel[e.from] {
+                c.popped += 1;
+            }
+            c.peak = c.peak.max(to + 1 - c.popped);
+        }
+        true
     }
 }
 
-/// Each stage's weakly connected component, named by its lowest stage.
-fn component_roots(spec: &PipelineSpec) -> Vec<usize> {
-    let mut root: Vec<usize> = (0..spec.stages.len()).collect();
-    let find = |root: &[usize], mut i: usize| {
-        while root[i] != i {
-            i = root[i];
-        }
-        i
-    };
-    for e in &spec.edges {
-        let (a, b) = (find(&root, e.from), find(&root, e.to));
-        root[a.max(b)] = a.min(b);
+/// `Σ_{t=1..=q} (r + t·(up − down))`: what a sum gains over `q` more
+/// frames when it last gained `r` and its summand drifts by `up − down`
+/// a frame. The regime keeps every summand non-negative.
+fn series(q: u64, r: u128, up: u64, down: u64) -> u128 {
+    let (q, tri) = (u128::from(q), u128::from(q) * (u128::from(q) + 1) / 2);
+    if up >= down {
+        q * r + u128::from(up - down) * tri
+    } else {
+        q * r - u128::from(down - up) * tri
     }
-    (0..root.len()).map(|i| find(&root, i)).collect()
 }
 
 /// Run `frames` identical frames through the pipeline DAG and collect
@@ -512,19 +588,21 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
     // A traced run keeps its whole `(pop, rel)` schedule for emission.
     let traced = rec.enabled();
     let mut schedule: Vec<Vec<(u64, u64)>> = vec![Vec::new(); if traced { n } else { 0 }];
-    // Periodic fast-forward: from frame `max_cap` on (so only when every
-    // capacity is below the frame count) every credit term is live and
-    // every ring holds `cap + 1` pops, so the state decides the rest of
-    // the run. Snapshots at `max_cap + 2^k` (Brent) catch any period.
-    let root = component_roots(spec);
+    // Fast-forward: from frame `max_cap` on (so only when every capacity
+    // is below the frame count) every credit term is live and every ring
+    // holds `cap + 1` pops, so the state decides the rest of the run.
+    // Each frame is compared with the one before it (affine regimes), and
+    // with snapshots at `base + 2^k` (Brent) for longer periods; a jump
+    // restarts the snapshots where it lands.
     let max_cap = spec
         .edges
         .iter()
         .map(|e| e.capacity as u64)
         .max()
         .unwrap_or(0);
-    let mut seek_period = !traced;
+    let mut last = st.clone();
     let mut snap: Option<(u64, State)> = None;
+    let mut base = max_cap;
     let mut evaluated = 0;
     let mut j = 0;
     while j < frames {
@@ -556,17 +634,31 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
         if j == 0 {
             fill = latest(&st.rel, &outs);
         }
-        if seek_period && j >= max_cap {
-            if let Some((j0, then)) = &snap {
+        if !traced && j >= max_cap {
+            let mut jumped = false;
+            if j > max_cap && st.repeats(&last, 1, &spec.edges) {
+                let q = st.regime_frames(&last, spec, j, frames - 1 - j);
+                if q > 0 && st.advance(&last, j, 1, q, &spec.edges) {
+                    j += q;
+                    jumped = true;
+                }
+            } else if let Some((j0, then)) = &snap {
+                // Period 1 is the affine case above.
                 let p = j - j0;
-                if st.repeats(then, p, &root, &spec.edges) {
-                    let q = (frames - 1 - j) / p;
-                    st.advance(then, p, q, &root, &spec.edges);
+                let q = (frames - 1 - j) / p;
+                if p > 1
+                    && q > 0
+                    && st.repeats(then, p, &spec.edges)
+                    && st.advance(then, j, p, q, &spec.edges)
+                {
                     j += q * p;
-                    seek_period = false;
+                    jumped = true;
                 }
             }
-            if seek_period && (j == max_cap || (j - max_cap).is_power_of_two()) {
+            if jumped {
+                base = j;
+            }
+            if j == base || (j - base).is_power_of_two() {
                 match &mut snap {
                     Some((at, then)) => {
                         *at = j;
@@ -575,6 +667,7 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
                     None => snap = Some((j, st.clone())),
                 }
             }
+            last.copy_from(&st);
         }
         j += 1;
     }
@@ -1027,9 +1120,8 @@ mod tests {
     fn a_long_periodic_run_costs_its_transient() {
         assert!(evaluated_frames(&diamond([2, 10, 3, 4], 2), 10_000) < 100);
         assert!(evaluated_frames(&spec(&[7], &[]), 10_000) < 10);
-        // Two components run at different rates, so each needs its own
-        // time shift before their joint state repeats.
-        assert_eq!(component_roots(&two_streams()), vec![0, 0, 0, 3, 3]);
+        // Two components run at different rates: each stage moves by its
+        // own time shift.
         assert!(evaluated_frames(&two_streams(), 10_000) < 100);
         // A bypass around a tight channel settles into period 2, and
         // 10,000 frames is no whole number of ring turns after it.
@@ -1042,15 +1134,33 @@ mod tests {
         assert!(evaluated_frames(&bypass, 10_000) < 100);
     }
 
+    include!("../tests/fixtures/resnet_chain.rs");
+
+    #[test]
+    fn a_drifting_run_costs_its_regime_changes() {
+        // The head is one cycle faster than the tail, so the gap between
+        // them grows every frame and the state never repeats; the channel
+        // would only fill after millions of frames.
+        let drift = spec(&[999_999, 1_000_000], &[9]);
+        assert!(evaluated_frames(&drift, 10_000) < 100);
+        // Two near-tied bottlenecks far apart: the channels between them
+        // gain one frame of backlog every 40 frames until they fill, and
+        // each fill is a regime change.
+        let far = spec(
+            &[300, 900, 500, 3_900, 700, 200, 600, 4_000, 800, 100],
+            &[2, 3, 1, 4, 2, 3, 2, 1, 3],
+        );
+        assert!(evaluated_frames(&far, 10_000) < 300);
+        // `stream-long`'s ResNet chain. Its traced run would hold millions
+        // of events, so the oracle suite checks its stats instead.
+        let resnet = spec(&RESNET_SERVICES, &RESNET_CAPACITIES);
+        assert!(evaluate(&resnet, 10_000, &NoopRecorder).1 < 2_000);
+    }
+
     #[test]
     fn a_run_that_never_repeats_is_evaluated_in_full() {
-        // The head is one cycle faster than the tail, so the gap between
-        // them grows every frame; the channel would only fill after
-        // millions of frames.
-        let drift = spec(&[999_999, 1_000_000], &[9]);
-        assert_eq!(evaluated_frames(&drift, 10_000), 10_000);
         // One channel as long as the run: its ring never fills, so no
-        // state is compared.
+        // state is compared and nothing is found to repeat.
         let mut long = diamond([2, 10, 3, 4], 2);
         long.edges[1].capacity = 5_000;
         assert_eq!(evaluated_frames(&long, 5_000), 5_000);

@@ -18,8 +18,9 @@
 //! the data, that schedule is a max-plus recurrence over frames, and
 //! [`simulate`] evaluates it directly in stage order (see [`engine`]),
 //! in memory bounded by the spec rather than the frame count, and in
-//! work bounded by the schedule's transient: once the state repeats up
-//! to a time shift, whole periods are skipped at once.
+//! work bounded by the schedule's regime changes: while every time moves
+//! by its own shift per frame, or the state repeats, the run jumps
+//! straight to the next frame where some max could change its winner.
 //!
 //! ```
 //! use morph_pipeline::{simulate, PipelineSpec, StageSpec};

@@ -7,9 +7,12 @@
 //! traced cases, event-list equality on the canonical sidecar. Random
 //! frame counts run from 0 to 60; capacities cover tight channels,
 //! channels larger than the run, and `usize::MAX`. Untraced runs of 500
-//! to 10,000 frames check the periodic fast-forward, which only long
-//! runs reach far enough to use; traced runs never fast-forward and keep
-//! to short runs, since their buffers grow with the frame count.
+//! to 10,000 frames check the fast-forward, which only long runs reach
+//! far enough to use: periodic schedules, and drifting ones whose stages
+//! advance by unequal shifts, such as `stream-long`'s ResNet chain and a
+//! random family with two near-tied bottlenecks far apart. Traced runs
+//! never fast-forward and keep to short runs, since their buffers grow
+//! with the frame count.
 
 use morph_pipeline::{simulate, simulate_traced, EdgeSpec, PipelineSpec, StageSpec};
 use morph_tensor::rng::XorShift as Rng;
@@ -18,6 +21,8 @@ use morph_trace::TraceBuffer;
 mod common;
 mod event_loop;
 use common::{arb_chain, arb_dag};
+
+include!("fixtures/resnet_chain.rs");
 
 /// A wide random DAG: 2–30 stages, each after the first with 0–4
 /// in-edges from random earlier stages, and capacities drawn from tight
@@ -104,6 +109,36 @@ fn near_tied(rng: &mut Rng, mut spec: PipelineSpec) -> PipelineSpec {
     let base = rng.range(50, 5000) as u64;
     for s in &mut spec.stages {
         s.service_cycles = base + rng.range(0, 7) as u64 - 3;
+    }
+    spec
+}
+
+/// Two near-tied bottlenecks far apart (ResNet's shape): 8–16 stages of
+/// 100–2,000 cycles, two of them 5,000–5,040 cycles at least a third of
+/// the stages apart in either order, capacities 1–9, and for a DAG 1–3
+/// skip edges that each reach 2–8 stages ahead. When the upstream
+/// bottleneck is the faster one, the channels between them fill slowly,
+/// one regime at a time.
+fn arb_far_bottlenecks(rng: &mut Rng, dag: bool) -> PipelineSpec {
+    let n = rng.range(8, 17);
+    let mut stages: Vec<StageSpec> = (0..n)
+        .map(|i| st(&format!("f{i}"), rng.range(100, 2001) as u64))
+        .collect();
+    let a = rng.range(0, n - n / 3);
+    let b = rng.range(a + n / 3, n);
+    stages[a].service_cycles = rng.range(5_000, 5_041) as u64;
+    stages[b].service_cycles = rng.range(5_000, 5_041) as u64;
+    let mut spec = PipelineSpec::chain(
+        stages,
+        &(1..n).map(|_| rng.range(1, 10)).collect::<Vec<_>>(),
+    );
+    for _ in 0..if dag { rng.range(1, 4) } else { 0 } {
+        let from = rng.range(0, n - 2);
+        let to = rng.range(from + 2, (from + 9).min(n));
+        if !spec.edges.iter().any(|e| e.from == from && e.to == to) {
+            let capacity = rng.range(1, 10);
+            spec.edges.push(EdgeSpec { from, to, capacity });
+        }
     }
     spec
 }
@@ -205,7 +240,8 @@ fn wide_dags_with_unbounded_channels_match_the_oracle() {
 fn hand_built_long_runs_match_the_oracle() {
     // A diamond and two unequal streams repeat early, a bypass around a
     // tight channel with period 2; a head one cycle faster than its tail
-    // drifts for the whole run.
+    // never repeats, but drifts by one cycle a frame and is jumped, and
+    // `stream-long`'s ResNet chain drifts through many regimes.
     let mut bypass = PipelineSpec::chain(
         vec![
             st("s0", 1),
@@ -236,8 +272,29 @@ fn hand_built_long_runs_match_the_oracle() {
         ..streams
     };
     let drift = PipelineSpec::chain(vec![st("head", 999_999), st("tail", 1_000_000)], &[9]);
-    for (case, spec) in [diamond(), bypass, streams, drift].iter().enumerate() {
+    let resnet = PipelineSpec::chain(
+        RESNET_SERVICES
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| st(&format!("conv{i}"), s))
+            .collect(),
+        &RESNET_CAPACITIES,
+    );
+    for (case, spec) in [diamond(), bypass, streams, drift, resnet]
+        .iter()
+        .enumerate()
+    {
         assert_stats_match(case, spec, 10_000);
+    }
+}
+
+#[test]
+fn far_apart_bottlenecks_match_the_oracle_bit_for_bit() {
+    let mut rng = Rng::new(0xFA12_B077);
+    for case in 0..40 {
+        let spec = arb_far_bottlenecks(&mut rng, case % 2 == 1);
+        let frames = rng.range(2_000, 10_001) as u64;
+        assert_stats_match(case, &spec, frames);
     }
 }
 
