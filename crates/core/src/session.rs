@@ -49,9 +49,9 @@ use morph_pipeline::{
     balance, pareto_frontier, simulate, simulate_traced, EdgeSpec, ParetoPoint, ParetoReport,
     PipelineMode, PipelineReport, PipelineSpec, StageSpec,
 };
+use morph_tensor::hash::FxHashSet;
 use morph_tensor::shape::ConvShape;
 use morph_trace::{NoopRecorder, PrefixRecorder, Recorder};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -279,7 +279,7 @@ impl Session {
         for (bi, backend) in self.backends.iter().enumerate() {
             let own = backend.objective();
             let m = backend.arch().clusters.max(1);
-            let mut decided: HashSet<StoreKey> = self.stores[bi].keys().into_iter().collect();
+            let mut decided: FxHashSet<StoreKey> = self.stores[bi].keys().into_iter().collect();
             for (ni, net) in self.networks.iter().enumerate() {
                 for layer in net.conv_layers() {
                     if decided.insert((layer.shape, own, m)) {
@@ -435,7 +435,7 @@ impl Session {
         // stats exactly once, so summing over the run's distinct shapes is
         // deterministic at any thread count (cache-served layers still
         // report the stats of the search that first decided them).
-        let mut distinct: HashSet<ConvShape> = HashSet::new();
+        let mut distinct: FxHashSet<ConvShape> = FxHashSet::default();
         let mut search = SearchStats::default();
         let records: Vec<LayerRecord> = net
             .conv_layers()
@@ -848,7 +848,7 @@ impl Session {
 
         // Evaluate one point per distinct allocation the deadline sweep
         // produces (cheapest-feasible and smallest-feasible flavors).
-        let mut seen: HashSet<Vec<usize>> = HashSet::new();
+        let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
         let mut candidates: Vec<(Vec<usize>, ParetoPoint)> = Vec::new();
         for deadline in balance::deadline_levels(&table, PARETO_LEVELS) {
             for prefer_small in [false, true] {

@@ -20,9 +20,9 @@
 
 use crate::config::TilingConfig;
 use crate::pieces::{DimPieces, DimSpec, Piece};
+use morph_tensor::hash::FxHashMap;
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::{ConvShape, ACT_BYTES, WGT_BYTES};
-use std::collections::HashMap;
 
 /// Bytes crossing one boundary, by data type and direction.
 ///
@@ -103,6 +103,33 @@ fn slides(d: Dim) -> bool {
     d.input_relevant() && d != Dim::C
 }
 
+/// Piece counts of `extent` sliced by `tiles`, after each level, counted
+/// by piece size: a piece of size `s` cut by `t' = min(t, s)` yields
+/// `⌊s/t'⌋` pieces of `t'` and one of `s mod t'`, wherever it starts.
+fn channel_counts(extent: usize, tiles: &[usize]) -> Vec<usize> {
+    // (size, how many pieces have it), one entry per size.
+    let mut classes = vec![(extent, 1)];
+    let mut next: Vec<(usize, usize)> = Vec::new();
+    tiles
+        .iter()
+        .map(|&tile| {
+            next.clear();
+            for &(size, many) in &classes {
+                let t = tile.min(size);
+                let cuts = [(t, many * (size / t)), (size % t, many)];
+                for (size, many) in cuts.into_iter().filter(|&(size, _)| size > 0) {
+                    match next.iter_mut().find(|(s, _)| *s == size) {
+                        Some((_, n)) => *n += many,
+                        None => next.push((size, many)),
+                    }
+                }
+            }
+            std::mem::swap(&mut classes, &mut next);
+            classes.iter().map(|&(_, many)| many).sum()
+        })
+        .collect()
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DataType {
     Input,
@@ -137,11 +164,10 @@ impl Exact {
 
 /// Digest of one dimension's tile chain at every depth: everything the
 /// traffic engine reads of its [`DimPieces`] at each boundary the chain
-/// reaches, taken in one walk down the chain. Candidates that share a
-/// dimension's chain share its summary (see [`ChainSummaries`]), so the
-/// piece lists are walked once per chain instead of once per candidate
-/// and boundary; [`ChainSummaries::boundary`] scores a boundary from five
-/// of them.
+/// reaches. Candidates that share a dimension's chain share its summary
+/// (see [`ChainSummaries`]), so each chain is summarized once instead of
+/// once per candidate and boundary; [`ChainSummaries::boundary`] scores a
+/// boundary from five of them.
 #[derive(Debug, Clone)]
 pub struct DimSummary {
     /// Piece count after nesting levels `0..=j`.
@@ -154,12 +180,13 @@ pub struct DimSummary {
 }
 
 impl DimSummary {
-    /// Summarize dimension `d` sliced by `tiles` (outermost first, as in
-    /// [`DimPieces::build`]), level by level in one walk: after nesting
-    /// levels `0..=j`, the piece count and the input sums the traffic
-    /// engine reads of those pieces. Input sums are taken only where the
-    /// engine reads them: the full sum for input-relevant dimensions, the
-    /// slide sums for the sliding windows `W`, `H`, `F`; the rest read 0.
+    /// Summarize dimension `d`, whose geometry is `spec`
+    /// ([`DimSpec::of`]), sliced by `tiles` (outermost first, as in
+    /// [`DimPieces::build`]): after nesting levels `0..=j`, the piece
+    /// count and the input sums the traffic engine reads of those pieces.
+    /// Input sums are taken only where the engine reads them: the full
+    /// sum for input-relevant dimensions, the slide sums for the sliding
+    /// windows `W`, `H`, `F`; the rest read 0.
     ///
     /// # Panics
     ///
@@ -167,14 +194,38 @@ impl DimSummary {
     pub fn new(d: Dim, spec: &DimSpec, tiles: &[usize]) -> Self {
         assert!(spec.out_extent >= 1, "dimension extent must be >= 1");
         assert!(tiles.iter().all(|&t| t >= 1), "tile extents must be >= 1");
+        if slides(d) {
+            return Self::windows(spec, tiles);
+        }
+        debug_assert_eq!(
+            *spec,
+            DimSpec::channel(spec.out_extent),
+            "{d:?} has no window"
+        );
+        // `C`'s pieces partition its extent, so their input sum is the
+        // extent at every depth; `K` is not input-relevant.
+        let full = if d == Dim::C {
+            spec.out_extent as u64
+        } else {
+            0
+        };
+        let n = tiles.len();
+        Self {
+            counts: channel_counts(spec.out_extent, tiles),
+            full: vec![full; n],
+            slide: vec![0; n * (n + 1) / 2],
+        }
+    }
+
+    /// A sliding window's summary, walking its pieces level by level: its
+    /// input sums depend on where each piece starts (edge clipping, runs).
+    fn windows(spec: &DimSpec, tiles: &[usize]) -> Self {
         let n = tiles.len();
         let mut out = Self {
             counts: Vec::with_capacity(n),
             full: Vec::with_capacity(n),
             slide: Vec::with_capacity(n * (n + 1) / 2),
         };
-        let want_full = d.input_relevant();
-        let want_slide = slides(d);
         let mut parents = vec![Piece {
             offset: 0,
             size: spec.out_extent,
@@ -189,34 +240,26 @@ impl DimSummary {
             pieces.clear();
             for p in &parents {
                 let t = tile.min(p.size);
-                if deepest && !want_full {
-                    count += p.size.div_ceil(t);
-                    continue;
-                }
                 let end = p.offset + p.size;
                 let mut off = p.offset;
                 while off < end {
                     let size = t.min(end - off);
-                    if want_full {
-                        let (start, stop) = spec.in_span(off, size);
-                        let whole = (stop - start).max(0) as u64;
-                        full += whole;
-                        if want_slide {
-                            // Run starts as in `DimPieces::is_run_start`:
-                            // the first piece at run level 0, multiples of
-                            // the parent level's tile below it.
-                            let fresh = (stop - start.max(prev_end)).max(0) as u64;
-                            slide[0] += if count == 0 { whole } else { fresh };
-                            for (sum, &parent_tile) in slide[1..].iter_mut().zip(tiles) {
-                                *sum += if off.is_multiple_of(parent_tile) {
-                                    whole
-                                } else {
-                                    fresh
-                                };
-                            }
-                        }
-                        prev_end = stop;
+                    let (start, stop) = spec.in_span(off, size);
+                    let whole = (stop - start).max(0) as u64;
+                    full += whole;
+                    // Run starts as in `DimPieces::is_run_start`: the first
+                    // piece at run level 0, multiples of the parent level's
+                    // tile below it.
+                    let fresh = (stop - start.max(prev_end)).max(0) as u64;
+                    slide[0] += if count == 0 { whole } else { fresh };
+                    for (sum, &parent_tile) in slide[1..].iter_mut().zip(tiles) {
+                        *sum += if off.is_multiple_of(parent_tile) {
+                            whole
+                        } else {
+                            fresh
+                        };
                     }
+                    prev_end = stop;
                     count += 1;
                     if !deepest {
                         pieces.push(Piece { offset: off, size });
@@ -269,8 +312,8 @@ pub struct ChainId(usize);
 /// the shape constants the transfer rules read. A chain is one
 /// dimension's tile extents from the outermost level down to the level
 /// being scored, of any length; equal chains share one [`DimSummary`],
-/// so every boundary scored through this context walks each distinct
-/// chain's pieces once. [`layer_traffic`] scores through the same rules
+/// so every boundary scored through this context summarizes each
+/// distinct chain once. [`layer_traffic`] scores through the same rules
 /// without the memo.
 #[derive(Debug)]
 pub struct ChainSummaries {
@@ -281,7 +324,7 @@ pub struct ChainSummaries {
     weight_elems: u64,
     maccs: u64,
     /// Per dimension: each summarized chain's index in `summaries`.
-    index: [HashMap<Vec<usize>, usize>; 5],
+    index: [FxHashMap<Vec<usize>, usize>; 5],
     summaries: Vec<DimSummary>,
     /// Scratch chain for [`ChainSummaries::layer_traffic`].
     chain: Vec<usize>,

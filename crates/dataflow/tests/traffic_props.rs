@@ -387,6 +387,71 @@ fn summaries_match_piece_lists() {
     }
 }
 
+/// A tile for a level whose parent tile is `parent`: one that does not
+/// divide it where one exists, and now and then one above it.
+fn arb_ragged_tile(rng: &mut Rng, parent: usize) -> usize {
+    if rng.range(0, 5) == 0 {
+        return rng.range(parent + 1, 2 * parent + 2);
+    }
+    loop {
+        let t = rng.range(1, parent + 1);
+        if parent < 3 || !parent.is_multiple_of(t) {
+            return t;
+        }
+    }
+}
+
+/// The channel summaries count pieces by size class; here a level holds
+/// many classes. `C` and `K` extents up to 2,048 are sliced by one to six
+/// levels of tiles that do not divide their parents (some above them),
+/// and every depth matches the piece lists: the count, `C`'s full input
+/// sum (the extent) and `K`'s (0), and no slide sums.
+#[test]
+fn channel_summaries_match_piece_lists_on_ragged_chains() {
+    let mut rng = Rng::new(0xC1A5);
+    let mut most_sizes = 0;
+    for _ in 0..256 {
+        let extent = rng.range(1, 2049);
+        let mut parent = extent;
+        let tiles: Vec<usize> = (0..rng.range(1, 7))
+            .map(|_| {
+                let t = arb_ragged_tile(&mut rng, parent);
+                parent = parent.min(t);
+                t
+            })
+            .collect();
+        let spec = DimSpec::channel(extent);
+        for d in [Dim::C, Dim::K] {
+            let summary = DimSummary::new(d, &spec, &tiles);
+            for depth in 0..tiles.len() {
+                let pieces = DimPieces::build(extent, &tiles[..=depth]);
+                let mut sizes: Vec<usize> = pieces.pieces.iter().map(|p| p.size).collect();
+                sizes.sort_unstable();
+                sizes.dedup();
+                most_sizes = most_sizes.max(sizes.len());
+                assert_eq!(
+                    summary.count_at(depth),
+                    pieces.count_at(depth),
+                    "{d:?} {tiles:?}"
+                );
+                let full = if d == Dim::C {
+                    pieces.input_sum_full(&spec)
+                } else {
+                    0
+                };
+                assert_eq!(summary.input_sum_full(depth), full, "{d:?} {tiles:?}");
+                for level in 0..=depth {
+                    assert_eq!(summary.input_sum_slide(depth, level), 0, "{d:?} {tiles:?}");
+                }
+            }
+        }
+    }
+    assert!(
+        most_sizes >= 4,
+        "the draws reach levels of {most_sizes} piece sizes at most"
+    );
+}
+
 /// Every boundary scores the same through `layer_traffic` (each
 /// dimension summarized once, every boundary from those summaries),
 /// `boundary_traffic` (piece lists rebuilt per boundary, the reference)

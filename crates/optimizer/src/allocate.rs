@@ -12,10 +12,10 @@ use crate::space::order_signature;
 use morph_dataflow::arch::{ArchSpec, OnChipLevel};
 use morph_dataflow::config::{tile_bytes, LevelConfig, TilingConfig};
 use morph_dataflow::traffic::{boundary_traffic, BoundaryTraffic, ChainId, ChainSummaries};
+use morph_tensor::hash::FxHashMap;
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
-use std::collections::HashMap;
 
 /// Fit rule for candidate tiles at a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,12 +154,12 @@ pub struct CornerSet {
     /// The parent levels' signature lists seen, numbered in order. Few
     /// are distinct, so the memo below is keyed by their number: keying
     /// it by the whole list gives every entry a heap key to compare.
-    classes: HashMap<Vec<u16>, usize>,
+    classes: FxHashMap<Vec<u16>, usize>,
     /// Per (parent class, this level's signature): where its group's
     /// corner scores start in `scores`, in the group's order. This
     /// level's signature names its multi-trip dimensions, so it names
     /// the group.
-    memo: HashMap<(usize, u16), usize>,
+    memo: FxHashMap<(usize, u16), usize>,
     scores: Vec<f64>,
     /// Scratch for [`CornerSet::pick`]: the parents' signature list, and
     /// where each group's scores start.
@@ -186,8 +186,8 @@ impl CornerSet {
             upper: Vec::new(),
             corners: Vec::new(),
             groups: Vec::new(),
-            classes: HashMap::new(),
-            memo: HashMap::new(),
+            classes: FxHashMap::default(),
+            memo: FxHashMap::default(),
             scores: Vec::new(),
             key: Vec::new(),
             starts: Vec::new(),

@@ -37,11 +37,11 @@ use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::{best_parallelism, layer_cycles, tile_grid, Parallelism};
 use morph_dataflow::traffic::{layer_traffic, ChainSummaries};
 use morph_energy::{EnergyModel, EnergyReport};
+use morph_tensor::hash::FxHashMap;
 use morph_tensor::order::{Dim, LoopOrder};
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
 use morph_trace::{NoopRecorder, Recorder};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What to optimize for (§V-E: "best performance, best performance/watt,
@@ -366,7 +366,7 @@ impl Optimizer {
         walk.sort_unstable();
         walk.dedup();
         let mut state = SweepState::default();
-        let decided: HashMap<usize, LayerDecision> = walk
+        let decided: FxHashMap<usize, LayerDecision> = walk
             .into_iter()
             .map(|c| (c, self.search_in(shape, objective, c, &mut state)))
             .collect();
@@ -632,7 +632,7 @@ impl Optimizer {
         let mut incumbent = f64::INFINITY;
         // The best parallelism depends only on the tile grid, which many
         // (L2 tile, inner order) rows share: score each grid once.
-        let mut grid_par: HashMap<(Tile, Tile), (Parallelism, u64)> = HashMap::new();
+        let mut grid_par: FxHashMap<(Tile, Tile), (Parallelism, u64)> = FxHashMap::default();
         // Trace-only work counters: hierarchy allocations, rows served
         // from the state instead, tile grids scored for parallelism, and
         // the `f_reuse` corner scores the allocations computed — the steps
@@ -685,7 +685,9 @@ impl Optimizer {
                 let Row::Tiles(l1, l0) = *row else {
                     continue;
                 };
-                let Some(base_cfg) =
+                // Each outer order is set in place on the row's hierarchy;
+                // only a new incumbent takes a copy.
+                let Some(mut cfg) =
                     assemble_hierarchy(shape, base_outer, *inner, [g.l2, l1, l0], arch)
                 else {
                     continue;
@@ -693,9 +695,9 @@ impl Optimizer {
                 // Best parallelism = fewest compute cycles; it depends only
                 // on the tile grid, not the loop orders, so hoist it out of
                 // the outer-order loop.
-                let (par, compute) = *grid_par.entry(tile_grid(&base_cfg)).or_insert_with(|| {
+                let (par, compute) = *grid_par.entry(tile_grid(&cfg)).or_insert_with(|| {
                     work.par_grids += 1;
-                    best_parallelism(shape, &base_cfg, &pars, arch)
+                    best_parallelism(shape, &cfg, &pars, arch)
                         .expect("at least one parallelism candidate")
                 });
                 if prune {
@@ -726,7 +728,6 @@ impl Optimizer {
                         }
                     }
                     stats.costed += 1;
-                    let mut cfg = base_cfg.clone();
                     cfg.levels[0].order = *outer;
                     let mut traffic = chains.layer_traffic(&cfg);
                     morph_dataflow::traffic::apply_multicast(
@@ -748,7 +749,7 @@ impl Optimizer {
                             s,
                             idx,
                             LayerDecision {
-                                config: cfg,
+                                config: cfg.clone(),
                                 par,
                                 report,
                             },
@@ -782,6 +783,7 @@ impl Optimizer {
 mod tests {
     use super::*;
     use morph_dataflow::arch::ArchSpec;
+    use std::collections::HashMap;
 
     fn layer() -> ConvShape {
         ConvShape::new_3d(28, 28, 8, 128, 256, 3, 3, 3).with_pad(1, 1)

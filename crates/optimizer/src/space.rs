@@ -9,6 +9,7 @@
 
 use morph_dataflow::arch::ArchSpec;
 use morph_dataflow::perf::Parallelism;
+use morph_tensor::hash::FxHashSet;
 use morph_tensor::order::LoopOrder;
 use morph_tensor::shape::ConvShape;
 use morph_tensor::tiled::Tile;
@@ -97,7 +98,7 @@ pub fn order_signature(order: LoopOrder, multi_trip: u8) -> u16 {
 /// `multi_trip` dimensions of the level they run. The first order of
 /// each class is kept.
 pub fn dedup_orders(orders: &[LoopOrder], multi_trip: u8) -> Vec<LoopOrder> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut out = Vec::new();
     for &o in orders {
         if seen.insert(order_signature(o, multi_trip)) {

@@ -20,8 +20,8 @@ use crate::search::{LayerDecision, Objective};
 use morph_dataflow::config::TilingConfig;
 use morph_dataflow::perf::Parallelism;
 use morph_energy::EnergyReport;
+use morph_tensor::hash::FxHashMap;
 use morph_tensor::shape::ConvShape;
-use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counters of one mapping search (or an aggregate of many): how much of
@@ -136,7 +136,7 @@ impl StoredDecision {
 /// drives it.
 #[derive(Debug, Default)]
 pub struct DecisionStore {
-    entries: Mutex<HashMap<StoreKey, StoredDecision>>,
+    entries: Mutex<FxHashMap<StoreKey, StoredDecision>>,
 }
 
 impl DecisionStore {
@@ -148,7 +148,7 @@ impl DecisionStore {
     /// The table, locked. Every critical section is one map operation,
     /// so a poisoned lock still guards a whole table: take it rather than
     /// cascade another thread's panic.
-    fn table(&self) -> MutexGuard<'_, HashMap<StoreKey, StoredDecision>> {
+    fn table(&self) -> MutexGuard<'_, FxHashMap<StoreKey, StoredDecision>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -179,7 +179,9 @@ impl DecisionStore {
         self.table().is_empty()
     }
 
-    /// Snapshot of every memoized key.
+    /// Snapshot of every memoized key, in the table's order: unsorted,
+    /// but unseeded ([`morph_tensor::hash`]), so the same inserts list
+    /// in the same order in every run. So does [`DecisionStore::entries`].
     pub fn keys(&self) -> Vec<StoreKey> {
         self.table().keys().copied().collect()
     }

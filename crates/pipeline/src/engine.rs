@@ -39,7 +39,9 @@
 //! `pop` and `rel`, each ring and each channel's lag, and the recurrence
 //! reads those only through maxima, differences and `<=` tests. An
 //! untraced run compares each frame's state with the previous frame's.
-//! When every ring moved by its consumer's `pop` shift, the schedule is
+//! When every ring moved by its consumer's `pop` shift (the consumer
+//! popped by one increment for its ring's length of frames in a row, a
+//! run each stage counts as it goes), the schedule is
 //! an affine regime: every `pop` and `rel` advances by its own shift per
 //! frame for as long as each max keeps its winner. A term that grows
 //! faster than its max closes the margin by the difference of the two
@@ -367,32 +369,65 @@ struct State {
     blocked: Vec<u64>,
     starved: Vec<u64>,
     chans: Vec<Chan>,
+    /// Per stage: its latest `pop` increment, and how many frames in a
+    /// row (up to the latest) it has popped by that increment.
+    step: Vec<u64>,
+    run: Vec<u64>,
 }
 
 impl State {
-    /// Overwrite this state with `src`, keeping this state's allocations.
-    fn copy_from(&mut self, src: &State) {
+    /// Record that stage `i` popped its next frame at `pop`.
+    fn record_pop(&mut self, i: usize, pop: u64) {
+        let step = pop - self.pop[i];
+        if step == self.step[i] {
+            self.run[i] += 1;
+        } else {
+            self.step[i] = step;
+            self.run[i] = 1;
+        }
+        self.pop[i] = pop;
+    }
+
+    /// Overwrite this state's times and sums with `src`'s: all that
+    /// [`State::regime_frames`] and an affine [`State::advance`] read of
+    /// the frame before.
+    fn copy_sums_from(&mut self, src: &State) {
         self.rel.copy_from_slice(&src.rel);
         self.pop.copy_from_slice(&src.pop);
         self.blocked.copy_from_slice(&src.blocked);
         self.starved.copy_from_slice(&src.starved);
         for (c, s) in self.chans.iter_mut().zip(&src.chans) {
-            c.ring.copy_from_slice(&s.ring);
-            c.popped = s.popped;
-            c.peak = s.peak;
             c.residence = s.residence;
         }
     }
 
-    /// Whether this state, `p` frames after `then`, moved by one time
-    /// shift per variable: every ring, read in frame order, by its
-    /// consumer's `pop` shift (each stage's `pop` and `rel` move by their
-    /// own shifts by definition, and each channel's lag follows from its
-    /// ring and its producer's push). Over one frame that makes the
-    /// schedule an affine regime, which lasts [`State::regime_frames`].
-    /// Over `p > 1` frames the two ends of every edge, and each stage's
-    /// `pop` and `rel`, must also share one shift: the state then
-    /// repeats, and so does every period after it.
+    /// Overwrite this state's times, sums and rings with `src`'s,
+    /// keeping this state's allocations.
+    fn copy_from(&mut self, src: &State) {
+        self.copy_sums_from(src);
+        for (c, s) in self.chans.iter_mut().zip(&src.chans) {
+            c.ring.copy_from_slice(&s.ring);
+            c.popped = s.popped;
+            c.peak = s.peak;
+        }
+    }
+
+    /// Whether the schedule is in an affine regime, which lasts
+    /// [`State::regime_frames`]: every ring moved by its consumer's `pop`
+    /// shift over the last frame (each stage's `pop` and `rel` move by
+    /// their own shifts by definition, and each channel's lag follows
+    /// from its ring and its producer's push). A ring holds its
+    /// consumer's last `cap + 1` pops, so it moved by one shift exactly
+    /// when the consumer popped by one increment for `cap + 1` frames.
+    fn affine(&self, edges: &[EdgeSpec]) -> bool {
+        edges.iter().all(|e| self.run[e.to] > e.capacity as u64)
+    }
+
+    /// Whether this state, `p > 1` frames after `then`, repeats it up to
+    /// one time shift per stage: every ring, read in frame order, moved
+    /// by its consumer's `pop` shift, the two ends of every edge and
+    /// each stage's `pop` and `rel` share one shift. Then so does every
+    /// period after it.
     fn repeats(&self, then: &State, p: u64, edges: &[EdgeSpec]) -> bool {
         let rel = |i: usize| self.rel[i] - then.rel[i];
         let pop = |i: usize| self.pop[i] - then.pop[i];
@@ -403,18 +438,18 @@ impl State {
                 let d = pop(e.to);
                 // Slot `t` then is slot `t + p` now.
                 let (wrapped, moved) = c.ring.split_at(c.slot(p));
-                (p == 1 || rel(e.from) == d)
+                rel(e.from) == d
                     && old
                         .ring
                         .iter()
                         .zip(moved.iter().chain(wrapped))
                         .all(|(&t, &now)| t.checked_add(d) == Some(now))
             })
-            && (p == 1 || (0..self.rel.len()).all(|i| pop(i) == rel(i)))
+            && (0..self.rel.len()).all(|i| pop(i) == rel(i))
     }
 
     /// How many frames past frame `j` the affine regime lasts, where this
-    /// state moved one frame from `last` ([`State::repeats`]); at most
+    /// state moved one frame from `last` ([`State::affine`]); at most
     /// `left`, and 0 unless every max is won by a term that grows as fast
     /// as the max itself. Every `pop` and `rel` then moves by its own
     /// shift per frame until a faster term overtakes the winner: a push
@@ -453,9 +488,11 @@ impl State {
     }
 
     /// Jump `q` times `p` frames past frame `j`, where this state moved
-    /// `p` frames from `then` ([`State::repeats`]) and no max changes its
-    /// winner on the way. Times gain `q` shifts and rings are re-slotted
-    /// for the new frame index. Each sum gains `q` times its last growth
+    /// `p` frames from `then` ([`State::affine`] for `p = 1`,
+    /// [`State::repeats`] above) and no max changes its winner on the way.
+    /// Times gain `q` shifts and rings are re-slotted for the new frame
+    /// index. A stage whose pops kept one increment for a whole period
+    /// keeps it for the `q·p` frames. Each sum gains `q` times its last growth
     /// plus `q(q+1)/2` times the drift of its summand: blocked cycles
     /// (`rel - pop - s`), starved cycles (`pop - rel` of the frame before)
     /// and residence (`pop_to - rel_from`) all drift unless `p > 1`. Each
@@ -471,6 +508,8 @@ impl State {
             blocked,
             starved,
             chans,
+            step: _,
+            run,
         } = self;
         let fits = rel.iter().zip(&then.rel).all(|(&now, &old)| {
             q.checked_mul(now - old)
@@ -495,6 +534,9 @@ impl State {
             starved[i] += series(q, u128::from(starved[i] - then.starved[i]), dp, dr) as u64;
             rel[i] += q * dr;
             pop[i] += q * dp;
+            if run[i] >= p {
+                run[i] += q * p;
+            }
         }
         let to = j + q * p;
         for (e, c) in edges.iter().zip(chans.iter_mut()) {
@@ -564,6 +606,8 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
         pop: vec![0; n],
         blocked: vec![0; n],
         starved: vec![0; n],
+        step: vec![0; n],
+        run: vec![0; n],
         chans: spec
             .edges
             .iter()
@@ -626,7 +670,7 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
                 .fold(done, u64::max);
             st.blocked[i] += r - done;
             st.rel[i] = r;
-            st.pop[i] = pop;
+            st.record_pop(i, pop);
             if traced {
                 schedule[i].push((pop, r));
             }
@@ -636,7 +680,7 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
         }
         if !traced && j >= max_cap {
             let mut jumped = false;
-            if j > max_cap && st.repeats(&last, 1, &spec.edges) {
+            if j > max_cap && st.affine(&spec.edges) {
                 let q = st.regime_frames(&last, spec, j, frames - 1 - j);
                 if q > 0 && st.advance(&last, j, 1, q, &spec.edges) {
                     j += q;
@@ -667,7 +711,7 @@ fn evaluate(spec: &PipelineSpec, frames: u64, rec: &dyn Recorder) -> (PipelineSt
                     None => snap = Some((j, st.clone())),
                 }
             }
-            last.copy_from(&st);
+            last.copy_sums_from(&st);
         }
         j += 1;
     }

@@ -18,6 +18,7 @@
 //! ```
 
 pub mod conv;
+pub mod hash;
 pub mod order;
 pub mod pool;
 pub mod quant;
